@@ -2,16 +2,18 @@
 qualitative abstraction of concrete timestamps, and path-consistency
 propagation over interval constraint networks.
 
-The composition table is not hand-transcribed: it is generated once at import
-time by enumerating all weak orderings of the six endpoints of three
-intervals and collecting which A-to-C relations co-occur with each
-(A-to-B, B-to-C) pair.
+The composition and converse tables are not hand-transcribed: they are
+generated once at import time by enumerating all weak orderings of the six
+endpoints of three intervals and collecting which A-to-C relations co-occur
+with each (A-to-B, B-to-C) pair. Both are positional: a relation's position
+is its declaration order in BaseRelation, and bit p of a 13-bit mask stands
+for the relation at position p.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -42,54 +44,23 @@ class BaseRelation(Enum):
 
     @property
     def index(self) -> int:
-        return _RELATION_ORDER.index(self)
+        return _INDEX[self]
 
     @property
     def bit(self) -> int:
-        return 1 << self.index
+        return 1 << _INDEX[self]
 
 
-_RELATION_ORDER: Tuple[BaseRelation, ...] = (
-    BaseRelation.BEFORE,
-    BaseRelation.AFTER,
-    BaseRelation.MEETS,
-    BaseRelation.MET_BY,
-    BaseRelation.OVERLAPS,
-    BaseRelation.OVERLAPPED_BY,
-    BaseRelation.STARTS,
-    BaseRelation.STARTED_BY,
-    BaseRelation.DURING,
-    BaseRelation.CONTAINS,
-    BaseRelation.FINISHES,
-    BaseRelation.FINISHED_BY,
-    BaseRelation.EQUALS,
-)
-
-_BY_CODE: Dict[str, BaseRelation] = {r.code: r for r in _RELATION_ORDER}
-
-_CONVERSE: Dict[BaseRelation, BaseRelation] = {
-    BaseRelation.BEFORE: BaseRelation.AFTER,
-    BaseRelation.AFTER: BaseRelation.BEFORE,
-    BaseRelation.MEETS: BaseRelation.MET_BY,
-    BaseRelation.MET_BY: BaseRelation.MEETS,
-    BaseRelation.OVERLAPS: BaseRelation.OVERLAPPED_BY,
-    BaseRelation.OVERLAPPED_BY: BaseRelation.OVERLAPS,
-    BaseRelation.STARTS: BaseRelation.STARTED_BY,
-    BaseRelation.STARTED_BY: BaseRelation.STARTS,
-    BaseRelation.DURING: BaseRelation.CONTAINS,
-    BaseRelation.CONTAINS: BaseRelation.DURING,
-    BaseRelation.FINISHES: BaseRelation.FINISHED_BY,
-    BaseRelation.FINISHED_BY: BaseRelation.FINISHES,
-    BaseRelation.EQUALS: BaseRelation.EQUALS,
-}
-
-
-def converse(r: BaseRelation) -> BaseRelation:
-    """Converse of a base relation; an involution with eq as fixpoint."""
-    return _CONVERSE[r]
-
-
+_RELATIONS: Tuple[BaseRelation, ...] = tuple(BaseRelation)
+_INDEX: Dict[BaseRelation, int] = {r: p for p, r in enumerate(_RELATIONS)}
+_BY_CODE: Dict[str, BaseRelation] = {r.code: r for r in _RELATIONS}
 _FULL_MASK = (1 << 13) - 1
+_EQ_MASK = 1 << _INDEX[BaseRelation.EQUALS]
+
+
+def _positions(mask: int) -> List[int]:
+    """Positions of the set bits of a mask, in relation order."""
+    return [p for p in range(13) if mask >> p & 1]
 
 
 @dataclass(frozen=True)
@@ -114,9 +85,14 @@ class RelationSet:
 
     @classmethod
     def from_codes(cls, codes: str) -> "RelationSet":
-        """Parse a whitespace-separated string of relation codes, e.g. "b m o"."""
+        """Parse a whitespace-separated string of relation codes, e.g. "b m o".
+
+        Raises ValueError naming the first unknown code.
+        """
         mask = 0
         for code in codes.split():
+            if code not in _BY_CODE:
+                raise ValueError(f"unknown relation code: {code!r}")
             mask |= _BY_CODE[code].bit
         return cls(mask)
 
@@ -132,9 +108,7 @@ class RelationSet:
         return bool(self.mask & r.bit)
 
     def __iter__(self) -> Iterator[BaseRelation]:
-        for r in _RELATION_ORDER:
-            if self.mask & r.bit:
-                yield r
+        return (_RELATIONS[p] for p in _positions(self.mask))
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
@@ -154,10 +128,7 @@ class RelationSet:
         return self.mask == _FULL_MASK
 
     def converse(self) -> "RelationSet":
-        mask = 0
-        for r in self:
-            mask |= _CONVERSE[r].bit
-        return RelationSet(mask)
+        return RelationSet(_converse_mask(self.mask))
 
     def codes(self) -> str:
         """Canonical textual form: codes in fixed relation order."""
@@ -165,72 +136,6 @@ class RelationSet:
 
     def __repr__(self) -> str:
         return f"RelationSet({{{self.codes()}}})"
-
-
-def _relation_of_endpoints(
-    a_start, a_end, b_start, b_end
-) -> BaseRelation:
-    """Base relation of two intervals given exactly comparable endpoints."""
-    if a_end < b_start:
-        return BaseRelation.BEFORE
-    if b_end < a_start:
-        return BaseRelation.AFTER
-    if a_end == b_start:
-        return BaseRelation.MEETS
-    if b_end == a_start:
-        return BaseRelation.MET_BY
-    if a_start == b_start:
-        if a_end == b_end:
-            return BaseRelation.EQUALS
-        return BaseRelation.STARTS if a_end < b_end else BaseRelation.STARTED_BY
-    if a_end == b_end:
-        return BaseRelation.FINISHES if a_start > b_start else BaseRelation.FINISHED_BY
-    if a_start < b_start:
-        return BaseRelation.CONTAINS if a_end > b_end else BaseRelation.OVERLAPS
-    # a_start > b_start
-    return BaseRelation.DURING if a_end < b_end else BaseRelation.OVERLAPPED_BY
-
-
-def _generate_composition_table() -> Dict[Tuple[BaseRelation, BaseRelation], RelationSet]:
-    """Enumerate weak orderings of six endpoints over three intervals.
-
-    Values in range(6) suffice to realize every weak ordering of six points,
-    so the table is exact, not sampled.
-    """
-    table: Dict[Tuple[BaseRelation, BaseRelation], int] = {}
-    for points in product(range(6), repeat=6):
-        a0, a1, b0, b1, c0, c1 = points
-        if not (a0 < a1 and b0 < b1 and c0 < c1):
-            continue
-        r_ab = _relation_of_endpoints(a0, a1, b0, b1)
-        r_bc = _relation_of_endpoints(b0, b1, c0, c1)
-        r_ac = _relation_of_endpoints(a0, a1, c0, c1)
-        key = (r_ab, r_bc)
-        table[key] = table.get(key, 0) | r_ac.bit
-    return {k: RelationSet(m) for k, m in table.items()}
-
-
-_COMPOSITION: Dict[Tuple[BaseRelation, BaseRelation], RelationSet] = (
-    _generate_composition_table()
-)
-
-
-def compose_base(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
-    """Composition of two base relations per the generated table."""
-    return _COMPOSITION[(r1, r2)]
-
-
-def compose(r1: RelationSet, r2: RelationSet) -> RelationSet:
-    """Union over base pairs of the composition table."""
-    if r1.is_full and not r2.is_empty:
-        return RelationSet.full()
-    if r2.is_full and not r1.is_empty:
-        return RelationSet.full()
-    mask = 0
-    for a in r1:
-        for b in r2:
-            mask |= _COMPOSITION[(a, b)].mask
-    return RelationSet(mask)
 
 
 @dataclass(frozen=True)
@@ -293,6 +198,61 @@ def relation_from_endpoints(
     return BaseRelation.DURING
 
 
+def _generate_tables() -> Tuple[List[List[int]], List[int]]:
+    """Positional composition table (13x13 masks) and converse positions.
+
+    Every interval with endpoints in range(6) is enumerated; six values
+    suffice to realize every weak ordering of the six endpoints of three
+    intervals, so the tables are exact, not sampled.
+    """
+    spans = [ConcreteInterval(s, e) for s in range(6) for e in range(s + 1, 6)]
+    rel = [[_INDEX[relation_from_endpoints(a, b)] for b in spans] for a in spans]
+    composition = [[0] * 13 for _ in range(13)]
+    converse_of = [0] * 13
+    for a, b in product(range(len(spans)), repeat=2):
+        converse_of[rel[a][b]] = rel[b][a]
+        for c in range(len(spans)):
+            composition[rel[a][b]][rel[b][c]] |= 1 << rel[a][c]
+    return composition, converse_of
+
+
+_COMPOSE, _CONVERSE = _generate_tables()
+
+
+def _converse_mask(mask: int) -> int:
+    out = 0
+    for p in _positions(mask):
+        out |= 1 << _CONVERSE[p]
+    return out
+
+
+def _compose_mask(m1: int, m2: int) -> int:
+    if (m1 == _FULL_MASK and m2) or (m2 == _FULL_MASK and m1):
+        return _FULL_MASK
+    out = 0
+    right = _positions(m2)
+    for a in _positions(m1):
+        row = _COMPOSE[a]
+        for b in right:
+            out |= row[b]
+    return out
+
+
+def converse(r: BaseRelation) -> BaseRelation:
+    """Converse of a base relation; an involution with eq as fixpoint."""
+    return _RELATIONS[_CONVERSE[_INDEX[r]]]
+
+
+def compose_base(r1: BaseRelation, r2: BaseRelation) -> RelationSet:
+    """Composition of two base relations per the generated table."""
+    return RelationSet(_COMPOSE[_INDEX[r1]][_INDEX[r2]])
+
+
+def compose(r1: RelationSet, r2: RelationSet) -> RelationSet:
+    """Union over base pairs of the composition table."""
+    return RelationSet(_compose_mask(r1.mask, r2.mask))
+
+
 @dataclass
 class PropagationResult:
     """Outcome of path-consistency propagation."""
@@ -304,45 +264,36 @@ class PropagationResult:
 class ConstraintNetwork:
     """Qualitative constraint network over interval variables.
 
-    Labels are kept converse-closed: label(j, i) is always the converse set
-    of label(i, j). Mutation marks the network stale; queries require a
+    Variables are numbered in insertion order; the label of (i, j) is the
+    mask at row i, column j of an n x n matrix. The matrix is kept
+    converse-closed: [j][i] always holds the converse of [i][j], and the
+    diagonal is eq. Mutation marks the network stale; queries require a
     propagation pass after the last mutation.
     """
 
     def __init__(self) -> None:
-        self._order: List[str] = []
-        self._labels: Dict[Tuple[str, str], RelationSet] = {}
+        self._index: Dict[str, int] = {}
+        self._labels: List[List[int]] = []
         self._stale = True
-        self._consistent: Optional[bool] = None
 
     @property
     def variables(self) -> Tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._index)
 
     def add_variable(self, var: str) -> None:
-        if var in self._labels_index():
+        if var in self._index:
             return
-        self._order.append(var)
+        n = len(self._labels)
+        self._index[var] = n
+        for row in self._labels:
+            row.append(_FULL_MASK)
+        self._labels.append([_FULL_MASK] * n + [_EQ_MASK])
         self._stale = True
 
-    def _labels_index(self) -> set:
-        return set(self._order)
-
-    def _canonical(self, i: str, j: str) -> Tuple[Tuple[str, str], bool]:
-        """Canonical key (insertion order) and whether (i, j) is flipped."""
-        ii, jj = self._order.index(i), self._order.index(j)
-        if ii <= jj:
-            return (i, j), False
-        return (j, i), True
-
     def get_label(self, i: str, j: str) -> RelationSet:
-        if i not in self._labels_index() or j not in self._labels_index():
+        if i not in self._index or j not in self._index:
             raise UnknownVariable(f"unknown variable in ({i}, {j})")
-        if i == j:
-            return RelationSet.of(BaseRelation.EQUALS)
-        key, flipped = self._canonical(i, j)
-        label = self._labels.get(key, RelationSet.full())
-        return label.converse() if flipped else label
+        return RelationSet(self._labels[self._index[i]][self._index[j]])
 
     def constrain(self, i: str, j: str, relations: RelationSet) -> None:
         """Intersect the current label of (i, j) with the given set."""
@@ -350,56 +301,52 @@ class ConstraintNetwork:
             self.add_variable(v)
         if i == j:
             raise ValueError("cannot constrain a variable against itself")
-        key, flipped = self._canonical(i, j)
-        incoming = relations.converse() if flipped else relations
-        current = self._labels.get(key, RelationSet.full())
-        self._labels[key] = current & incoming
+        a, b = self._index[i], self._index[j]
+        label = self._labels[a][b] & relations.mask
+        self._labels[a][b] = label
+        self._labels[b][a] = _converse_mask(label)
         self._stale = True
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        n = len(self._order)
-        return [
-            (self._order[i], self._order[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-
-    def _set(self, i: str, j: str, label: RelationSet) -> None:
-        key, flipped = self._canonical(i, j)
-        self._labels[key] = label.converse() if flipped else label
 
     def propagate(self) -> PropagationResult:
         """Run path consistency to fixpoint with a work queue.
 
-        Inconsistency (an empty label) is a return value, not an exception.
+        The queue starts with every pair i < j in insertion order and holds
+        such pairs only; for each, every third variable k in order tightens
+        (i, k) and then (k, j). Inconsistency (an empty label) is a return
+        value, not an exception; its witness is the pair that emptied.
         """
-        queue = deque(self._pairs())
+        labels = self._labels
+        n = len(labels)
+        queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
         in_queue = set(queue)
         while queue:
-            i, j = queue.popleft()
-            in_queue.discard((i, j))
-            rij = self.get_label(i, j)
-            for k in self._order:
+            i, j = pair = queue.popleft()
+            in_queue.discard(pair)
+            rij = labels[i][j]
+            for k in range(n):
                 if k == i or k == j:
                     continue
-                for (x, y, composed) in (
-                    (i, k, compose(rij, self.get_label(j, k))),
-                    (k, j, compose(self.get_label(k, i), rij)),
+                # Both compositions read the labels as they were before
+                # either update at this k.
+                for x, y, composed in (
+                    (i, k, _compose_mask(rij, labels[j][k])),
+                    (k, j, _compose_mask(labels[k][i], rij)),
                 ):
-                    old = self.get_label(x, y)
+                    old = labels[x][y]
                     new = old & composed
-                    if new != old:
-                        if new.is_empty:
-                            self._stale = False
-                            self._consistent = False
-                            return PropagationResult(False, (x, y))
-                        self._set(x, y, new)
-                        key, _ = self._canonical(x, y)
-                        if key not in in_queue:
-                            queue.append(key)
-                            in_queue.add(key)
+                    if new == old:
+                        continue
+                    if not new:
+                        self._stale = False
+                        names = self.variables
+                        return PropagationResult(False, (names[x], names[y]))
+                    labels[x][y] = new
+                    labels[y][x] = _converse_mask(new)
+                    key = (x, y) if x < y else (y, x)
+                    if key not in in_queue:
+                        queue.append(key)
+                        in_queue.add(key)
         self._stale = False
-        self._consistent = True
         return PropagationResult(True)
 
     def query_relation(self, i: str, j: str) -> RelationSet:
@@ -409,5 +356,10 @@ class ConstraintNetwork:
         return self.get_label(i, j)
 
     def snapshot(self) -> Dict[Tuple[str, str], RelationSet]:
-        """Labels of all ordered canonical pairs, for equality comparisons."""
-        return {pair: self.get_label(*pair) for pair in self._pairs()}
+        """Labels of all pairs in insertion order, for equality comparisons."""
+        names = self.variables
+        return {
+            (names[i], names[j]): RelationSet(self._labels[i][j])
+            for i in range(len(names))
+            for j in range(i + 1, len(names))
+        }

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .activity import Plan, ProcessFlow, compile_constraints
+from .activity import EventTypeRef, Plan, ProcessFlow, compile_constraints
 from .errors import ParseError, SomaKitError, ValidationFailed, VersionMismatch
 from .formats import load_episode, load_library
 from .grounding import (
@@ -101,6 +101,22 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _find_ref(store, descriptions, name: str) -> Optional[EventTypeRef]:
+    """First slot, walking (defined ref, *phases) of each plan or process
+    flow in order, whose id or concept name is `name`."""
+    for d in descriptions:
+        if not isinstance(d, (Plan, ProcessFlow)):
+            continue
+        defined = d.defines_task if isinstance(d, Plan) else d.defines_process
+        for ref in (defined, *d.phases):
+            if ref is not None and (
+                ref.id == name
+                or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
+            ):
+                return ref
+    return None
+
+
 def _cmd_query(args) -> int:
     store, library = load_library(args.library)
     target = None
@@ -111,48 +127,21 @@ def _cmd_query(args) -> int:
     if target is None:
         print(f"error: no plan or process flow named {args.plan!r}", file=sys.stderr)
         return 2
-
-    def resolve(name: str) -> Optional[str]:
-        refs = [target.defines_task] if isinstance(target, Plan) else []
-        if isinstance(target, ProcessFlow) and target.defines_process:
-            refs = [target.defines_process]
-        refs += list(target.phases)
-        for ref in refs:
-            if ref.id == name:
-                return ref.id
-            if store.has_concept(ref.concept) and store.concept(ref.concept).name == name:
-                return ref.id
-        return None
-
-    a, b = resolve(args.phase_a), resolve(args.phase_b)
+    a = _find_ref(store, [target], args.phase_a)
+    b = _find_ref(store, [target], args.phase_b)
     if a is None or b is None:
         missing = args.phase_a if a is None else args.phase_b
         print(f"error: unknown phase {missing!r}", file=sys.stderr)
         return 2
     net = compile_constraints(target)
-    print(net.query_relation(a, b).codes())
+    print(net.query_relation(a.id, b.id).codes())
     return 0
 
 
 def _cmd_select(args) -> int:
     store, library = load_library(args.library)
     episode = load_episode(args.episode, eps=args.eps)
-    task_ref = None
-    for d in library:
-        if isinstance(d, Plan):
-            candidates = [d.defines_task] + list(d.phases)
-        elif isinstance(d, ProcessFlow):
-            candidates = ([d.defines_process] if d.defines_process else []) + list(d.phases)
-        else:
-            continue
-        for ref in candidates:
-            if ref.id == args.task or (
-                store.has_concept(ref.concept) and store.concept(ref.concept).name == args.task
-            ):
-                task_ref = ref
-                break
-        if task_ref:
-            break
+    task_ref = _find_ref(store, library, args.task)
     if task_ref is None:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2

@@ -125,7 +125,10 @@ def _relation_from_json(node) -> RelationSet:
             raise ParseError(f"unknown temporal relation: {node!r}")
         return RELATION_VOCABULARY[node]
     if isinstance(node, list):
-        return RelationSet.from_codes(" ".join(node))
+        try:
+            return RelationSet.from_codes(" ".join(node))
+        except ValueError as exc:
+            raise ParseError(f"bad relation value: {exc}") from exc
     raise ParseError(f"bad relation value: {node!r}")
 
 

@@ -257,6 +257,9 @@ class OntologyStore:
         restriction: Optional[Restriction] = None,
         concept_id: Optional[str] = None,
     ) -> str:
+        # The taxonomy stays acyclic without a graph check: parents must
+        # already exist, ids are fresh and concepts are immutable, so every
+        # parent edge points to an older concept.
         self._check_mutable()
         parents = frozenset(parents)
         cid = concept_id if concept_id is not None else self._fresh_id("c")
@@ -275,28 +278,7 @@ class OntologyStore:
         if restriction is not None and kind not in RESTRICTABLE_KINDS:
             raise KindMismatch(f"{kind.value} concepts cannot carry restrictions")
         self._concepts[cid] = Concept(cid, name, kind, parents, restriction)
-        self._assert_acyclic()
         return cid
-
-    def _assert_acyclic(self) -> None:
-        # Kahn-style topological check over parent edges.
-        indegree = {cid: 0 for cid in self._concepts}
-        children: Dict[str, List[str]] = {cid: [] for cid in self._concepts}
-        for c in self._concepts.values():
-            for pid in c.parents:
-                children[pid].append(c.id)
-                indegree[c.id] += 1
-        ready = [cid for cid, deg in indegree.items() if deg == 0]
-        seen = 0
-        while ready:
-            node = ready.pop()
-            seen += 1
-            for child in children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        if seen != len(self._concepts):
-            raise CycleError("taxonomy contains a cycle")
 
     def concept(self, cid: str) -> Concept:
         try:

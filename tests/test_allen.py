@@ -213,3 +213,22 @@ class TestConstraintNetwork:
             first = net.snapshot()
             assert net.propagate().consistent
             assert net.snapshot() == first
+
+    def test_labels_converse_closed_in_both_orientations(self):
+        def assert_converse_closed(net, names):
+            for i in names:
+                for j in names:
+                    assert net.get_label(j, i) == net.get_label(i, j).converse(), (i, j)
+
+        rng = random.Random(31)
+        for _ in range(60):
+            names = [f"V{i}" for i in range(rng.randint(3, 8))]
+            net = ConstraintNetwork()
+            for v in names:
+                net.add_variable(v)
+            for _ in range(rng.randint(1, 2 * len(names))):
+                a, b = sorted(rng.sample(names, 2), key=names.index, reverse=True)
+                net.constrain(a, b, RelationSet(rng.randrange(1, 1 << 13)))
+            assert_converse_closed(net, names)
+            net.propagate()
+            assert_converse_closed(net, names)

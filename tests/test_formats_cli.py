@@ -166,6 +166,16 @@ class TestCli:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2
 
+    def test_unknown_relation_code_exit_2(self, capsys, tmp_path):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"][0]["constraints"][1]["relation"] = ["o", "zz"]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "unknown relation code: 'zz'" in err
+
     def test_parse_reports_interpretation(self, capsys):
         code, out, _ = run_cli(
             capsys, "parse", str(SEED_LIBRARY), str(POURING_EPISODE)

@@ -1,0 +1,44 @@
+"""CLI stdout on the seed data, pinned byte for byte against golden files.
+
+Each golden file holds the exact stdout of one command; a changed report
+format, ranking or propagation order shows up here as a diff. To regenerate
+after an intended output change, write `run_cli(...)[1]` of each case to
+`tests/golden/<name>.out`.
+"""
+
+import pathlib
+
+import pytest
+
+from soma_kit.cli import main
+
+from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+INCONSISTENT_LIBRARY = GOLDEN / "inconsistent_library.json"
+
+LIB, POUR, AMB = str(SEED_LIBRARY), str(POURING_EPISODE), str(AMBIGUOUS_EPISODE)
+
+# name -> (argv, exit code)
+CASES = {
+    "validate_seed": (("validate", LIB), 0),
+    "validate_inconsistent": (("validate", str(INCONSISTENT_LIBRARY)), 1),
+    "parse_pouring": (("parse", LIB, POUR), 0),
+    "parse_pouring_machine": (("parse", LIB, POUR, "--format", "machine"), 0),
+    "parse_ambiguous": (("parse", LIB, AMB), 0),
+    "parse_ambiguous_machine": (("parse", LIB, AMB, "--format", "machine"), 0),
+    "query_approaching_tilting": (("query", LIB, "PouringPlan", "Approaching", "Tilting"), 0),
+    "query_tilting_pouring": (("query", LIB, "PouringPlan", "Tilting", "Pouring_0"), 0),
+    "select_pouring": (("select", LIB, POUR, "Pouring"), 0),
+    "select_pouring_machine": (("select", LIB, POUR, "Pouring", "--format", "machine"), 0),
+    "select_tilting": (("select", LIB, AMB, "Tilting_0"), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(capsys, name):
+    argv, expected_code = CASES[name]
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.out").read_text()
