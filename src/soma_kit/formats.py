@@ -125,6 +125,9 @@ def _relation_from_json(node) -> RelationSet:
             raise ParseError(f"unknown temporal relation: {node!r}")
         return RELATION_VOCABULARY[node]
     if isinstance(node, list):
+        for item in node:
+            if not isinstance(item, str):
+                raise ParseError(f"bad relation code: {item!r}")
         try:
             return RelationSet.from_codes(" ".join(node))
         except ValueError as exc:
@@ -423,19 +426,40 @@ def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episo
         except ValueError:
             issues.append(f"event {idx}: unknown class {node.get('class')!r}")
             continue
+        start, end = _event_times(idx, node)
         raw_events.append(
             RawEvent(
                 kind=kind,
                 type_tag=node["type"],
                 participants=participants,
-                start=float(node["start"]),
-                end=float(node["end"]),
+                start=start,
+                end=end,
             )
         )
     if issues:
         raise ValidationFailed(issues)
     tokens = tokenize(raw_events, eps=eps)
     return Episode(id=episode_id, tokens=tuple(tokens), scene=scene, eps=eps)
+
+
+def _event_times(idx: int, node: dict) -> Tuple[float, float]:
+    """(start, end) of event record `idx`; a point record `{"timestamp": t}`
+    is `(t, t)`, which `tokenize` widens by `eps`."""
+    if "timestamp" not in node:
+        return _event_time(idx, node, "start"), _event_time(idx, node, "end")
+    if "start" in node or "end" in node:
+        raise ParseError(f"event {idx}: give start/end or a timestamp, not both")
+    t = _event_time(idx, node, "timestamp")
+    return t, t
+
+
+def _event_time(idx: int, node: dict, key: str) -> float:
+    if key not in node:
+        raise ParseError(f"event {idx}: missing {key!r} (give start/end or a timestamp)")
+    try:
+        return float(node[key])
+    except (TypeError, ValueError):
+        raise ParseError(f"event {idx}: {key} is not a number: {node[key]!r}") from None
 
 
 def _scene_from_json(node: dict) -> Scene:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .activity import (
     Description,
@@ -80,7 +80,6 @@ class Interpretation:
     def sort_key(self):
         return (
             -self.coverage,
-            -len(self.phase_grounding),
             self.earliest_start,
             self.plan,
             self.phase_grounding,
@@ -108,10 +107,11 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
         end = ev.end if ev.end > ev.start else ev.start + eps
         widened.append(RawEvent(ev.kind, ev.type_tag, ev.participants, ev.start, end))
 
+    cuts = _state_cuts(widened)
     tokens: List[Token] = []
     for idx, ev in enumerate(widened):
         if ev.kind is TokenClass.STATE_CHANGE:
-            segments = _state_segments(ev, widened)
+            segments = _state_segments(ev, cuts.get(idx, ()))
         else:
             segments = [(ev.start, ev.end)]
         for seg_idx, (s, e) in enumerate(segments):
@@ -129,21 +129,46 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
     return tokens
 
 
-def _state_segments(ev: RawEvent, all_events: Sequence[RawEvent]) -> List[Tuple[float, float]]:
-    """Sub-intervals of a state event that survive conflicting states."""
-    cuts = sorted(
-        (max(other.start, ev.start), min(other.end, ev.end))
-        for other in all_events
-        if other is not ev
-        and other.kind is TokenClass.STATE_CHANGE
-        and frozenset(other.participants) == frozenset(ev.participants)
-        and other.type_tag != ev.type_tag
-        and other.start < ev.end
-        and other.end > ev.start
-    )
+_Cut = Tuple[float, float, int]  # (lo, hi, index of the conflicting event)
+
+
+def _state_cuts(events: Sequence[RawEvent]) -> Dict[int, List[_Cut]]:
+    """For each state event, by index, the spans where a state with another
+    type tag over the same participant set overlaps it.
+
+    States are grouped by participant set and each group is swept in start
+    order: an event meets only the later starts before its own end, so the
+    cost is O(n log n + k) for k overlapping same-set pairs. Equal cuts are
+    ordered by the conflicting event's index, as a scan of all events in
+    input order would meet them: the first one sets the representation
+    (`3` or `3.0`) of the boundary it leaves.
+    """
+    groups: Dict[FrozenSet[str], List[int]] = {}
+    for idx, ev in enumerate(events):
+        if ev.kind is TokenClass.STATE_CHANGE:
+            groups.setdefault(frozenset(ev.participants), []).append(idx)
+    cuts: Dict[int, List[_Cut]] = {}
+    for group in groups.values():
+        group.sort(key=lambda idx: events[idx].start)
+        for pos, i in enumerate(group):
+            a = events[i]
+            for q in range(pos + 1, len(group)):
+                j = group[q]
+                b = events[j]
+                if b.start >= a.end:
+                    break
+                if b.end > a.start and b.type_tag != a.type_tag:
+                    lo, hi = b.start, min(a.end, b.end)
+                    cuts.setdefault(i, []).append((lo, hi, j))
+                    cuts.setdefault(j, []).append((lo, hi, i))
+    return cuts
+
+
+def _state_segments(ev: RawEvent, cuts: Sequence[_Cut]) -> List[Tuple[float, float]]:
+    """Sub-intervals of a state event that survive its cuts."""
     segments: List[Tuple[float, float]] = []
     cursor = ev.start
-    for lo, hi in cuts:
+    for lo, hi, _ in sorted(cuts):
         if lo > cursor:
             segments.append((cursor, lo))
         cursor = max(cursor, hi)
@@ -295,8 +320,8 @@ def _make_interpretation(
 
 
 def rank(interps: Sequence[Interpretation]) -> List[Interpretation]:
-    """Deterministic order: coverage desc, phase count desc, earliest
-    grounded start asc, plan id, then groundings as the final tie-break."""
+    """Deterministic order: coverage desc, earliest grounded start asc, plan
+    id, then groundings as the final tie-break."""
     return sorted(interps, key=lambda i: i.sort_key)
 
 

@@ -11,6 +11,7 @@ from soma_kit import (
     OntologyStore,
     PhaseConstraint,
     Plan,
+    RawEvent,
     Scene,
     Token,
     TokenClass,
@@ -122,6 +123,27 @@ def random_episode(rng: random.Random, max_tokens=8) -> Episode:
         )
     tokens.sort(key=lambda t: (t.interval.start, t.interval.end, t.id))
     return Episode(id="gen", tokens=tuple(tokens), scene=scene, eps=0.0)
+
+
+STATE_TAGS = ("Contact", "Separated", "Supported")
+# Both orders of one pair name the same participant set.
+STATE_PARTICIPANTS = (("a", "b"), ("b", "a"), ("a", "c"), ("c",))
+
+
+def random_raw_events(rng: random.Random, n_events: int):
+    """Raw events, mostly states over a few participant sets, on a half-unit
+    grid so starts and ends tie; one in ten is a point event."""
+    events = []
+    for _ in range(n_events):
+        kind = rng.choice((TokenClass.STATE_CHANGE,) * 6 + tuple(TokenClass))
+        start = rng.randrange(2 * n_events) / 2
+        end = start if rng.random() < 0.1 else start + rng.randint(1, 16) / 2
+        events.append(
+            RawEvent(
+                kind, rng.choice(STATE_TAGS), rng.choice(STATE_PARTICIPANTS), start, end
+            )
+        )
+    return events
 
 
 def random_case(rng: random.Random):

@@ -9,19 +9,26 @@ the library's composition table, propagation, or parser search:
 - composition entries and network realizability are decided by enumerating
   atomic scenarios and checking endpoint-order satisfiability;
 - restriction evaluation is re-coded as a flat scan;
-- parsing is re-coded as exhaustive enumeration over injective assignments.
+- parsing is re-coded as exhaustive enumeration over injective assignments;
+- tokenization is the per-event definition: every state event is checked
+  against every other event for a conflicting state.
 """
 
+import math
 from itertools import permutations, product
 
 from soma_kit import (
     BaseRelation,
+    ConcreteInterval,
     Plan,
     ProcessFlow,
+    RawEvent,
     RelationSet,
+    Token,
+    TokenClass,
     relation_from_endpoints,
 )
-from soma_kit.errors import DegenerateInterval
+from soma_kit.errors import DegenerateInterval, NegativeDuration
 from soma_kit.ontology import (
     And,
     EntityKind,
@@ -278,3 +285,67 @@ def _all_role_groundings(d, phases, mapping, episode, store):
                 break
         if admissible:
             yield grounding
+
+
+def tokenize_oracle(raw_events, eps=0.01):
+    """Widen point events, split states at interruptions, and sort.
+
+    A state event is split by any other state event over the same
+    participants that carries a different type tag, so every state token is
+    homeomeric: no sub-interval spans a state transition.
+    """
+    widened = []
+    for ev in raw_events:
+        if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
+            raise NegativeDuration(f"non-finite timestamps on {ev.type_tag}")
+        if ev.end < ev.start:
+            raise NegativeDuration(
+                f"{ev.type_tag} ends before it starts: [{ev.start}, {ev.end}]"
+            )
+        if not ev.participants:
+            raise NegativeDuration(f"{ev.type_tag} has no participants")
+        end = ev.end if ev.end > ev.start else ev.start + eps
+        widened.append(RawEvent(ev.kind, ev.type_tag, ev.participants, ev.start, end))
+
+    tokens = []
+    for idx, ev in enumerate(widened):
+        if ev.kind is TokenClass.STATE_CHANGE:
+            segments = _state_segments(ev, widened)
+        else:
+            segments = [(ev.start, ev.end)]
+        for seg_idx, (s, e) in enumerate(segments):
+            suffix = f".{seg_idx}" if len(segments) > 1 else ""
+            tokens.append(
+                Token(
+                    id=f"t{idx}{suffix}",
+                    token_class=ev.kind,
+                    type_tag=ev.type_tag,
+                    participants=ev.participants,
+                    interval=ConcreteInterval(s, e),
+                )
+            )
+    tokens.sort(key=lambda t: (t.interval.start, t.interval.end, t.id))
+    return tokens
+
+
+def _state_segments(ev, all_events):
+    """Sub-intervals of a state event that survive conflicting states."""
+    cuts = sorted(
+        (max(other.start, ev.start), min(other.end, ev.end))
+        for other in all_events
+        if other is not ev
+        and other.kind is TokenClass.STATE_CHANGE
+        and frozenset(other.participants) == frozenset(ev.participants)
+        and other.type_tag != ev.type_tag
+        and other.start < ev.end
+        and other.end > ev.start
+    )
+    segments = []
+    cursor = ev.start
+    for lo, hi in cuts:
+        if lo > cursor:
+            segments.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < ev.end:
+        segments.append((cursor, ev.end))
+    return segments

@@ -121,6 +121,41 @@ class TestEpisodeLoading:
         with pytest.raises(NegativeDuration):
             load_episode(path)
 
+    @pytest.mark.parametrize("key", ["start", "end"])
+    def test_event_without_time_is_parse_error(self, tmp_path, key):
+        doc = json.loads(POURING_EPISODE.read_text())
+        del doc["events"][1][key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"event 1: missing '{key}'"):
+            load_episode(path)
+
+    def test_non_numeric_time_is_parse_error(self, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        doc["events"][2]["start"] = "soon"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="event 2: start is not a number: 'soon'"):
+            load_episode(path)
+
+    def test_point_timestamp_reads_as_start_equals_end(self, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        event = doc["events"][2]
+        assert event["start"] == event["end"]
+        event["timestamp"] = event.pop("start")
+        del event["end"]
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(doc))
+        assert load_episode(path).tokens == load_episode(POURING_EPISODE).tokens
+
+    def test_timestamp_with_start_is_parse_error(self, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        doc["events"][2]["timestamp"] = 6.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="event 2: give start/end or a timestamp"):
+            load_episode(path)
+
     def test_unknown_participant(self, tmp_path):
         doc = json.loads(POURING_EPISODE.read_text())
         doc["events"][0]["participants"] = ["ghost"]
@@ -175,6 +210,26 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "unknown relation code: 'zz'" in err
+
+    def test_non_string_relation_item_exit_2(self, capsys, tmp_path):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"][0]["constraints"][1]["relation"] = [1]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "bad relation code: 1" in err
+
+    def test_event_without_end_exit_2(self, capsys, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        del doc["events"][0]["end"]
+        path = tmp_path / "ep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "parse", str(SEED_LIBRARY), str(path))
+        assert code == 2
+        assert out == ""
+        assert "event 0: missing 'end'" in err
 
     def test_parse_reports_interpretation(self, capsys):
         code, out, _ = run_cli(

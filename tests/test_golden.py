@@ -3,16 +3,20 @@
 Each golden file holds the exact stdout of one command; a changed report
 format, ranking or propagation order shows up here as a diff. To regenerate
 after an intended output change, write `run_cli(...)[1]` of each case to
-`tests/golden/<name>.out`.
+`tests/golden/<name>.out`. `tokens_state_episode.out` pins state splitting
+the same way: one `id start end type_tag` line per token of a seeded episode.
 """
 
 import pathlib
+import random
 
 import pytest
 
+from soma_kit import tokenize
 from soma_kit.cli import main
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
+from generators import random_raw_events
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 INCONSISTENT_LIBRARY = GOLDEN / "inconsistent_library.json"
@@ -42,3 +46,9 @@ def test_golden_stdout(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_golden_state_episode_tokens():
+    tokens = tokenize(random_raw_events(random.Random(2020), 300))
+    dump = "".join(f"{t.id} {t.interval.start} {t.interval.end} {t.type_tag}\n" for t in tokens)
+    assert dump == (GOLDEN / "tokens_state_episode.out").read_text()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     Interpretation,
@@ -13,12 +14,42 @@ from soma_kit import (
 )
 from soma_kit.errors import DanglingReference, NegativeDuration
 
-from generators import random_case
-from oracles import parse_oracle
+from generators import build_generator_store, random_case, random_episode, random_plan
+from oracles import parse_oracle, tokenize_oracle
 
 
 def interp_key(i: Interpretation):
     return (i.plan, i.phase_grounding, i.role_grounding)
+
+
+def token_dump(tokens):
+    """Tokens with their times as reprs, so 1 vs 1.0 and 0.0 vs -0.0 differ."""
+    return [
+        (t.id, t.token_class, t.type_tag, t.participants,
+         repr(t.interval.start), repr(t.interval.end))
+        for t in tokens
+    ]
+
+
+# Ints next to equal floats, and both zeros, so ties keep their representation.
+TIMES = (-0.0, 0, 0.0, 0.5, 1, 1.0, 2, 2.5, 3.0, 4, 4.0, 6.5)
+raw_event = st.builds(
+    lambda kind, tag, participants, times: RawEvent(
+        kind, tag, participants, *sorted(times)
+    ),
+    st.sampled_from(tuple(TokenClass) + (TokenClass.STATE_CHANGE,) * 3),
+    st.sampled_from(("Contact", "Separated", "Supported")),
+    st.sampled_from((("a", "b"), ("b", "a"), ("a",), ("a", "c"))),
+    st.tuples(st.sampled_from(TIMES), st.sampled_from(TIMES)),
+)
+
+
+@st.composite
+def raw_event_lists(draw):
+    events = draw(st.lists(raw_event, max_size=30))
+    if events:
+        events += draw(st.lists(st.sampled_from(events), max_size=10))
+    return draw(st.permutations(events))
 
 
 class TestTokenize:
@@ -77,6 +108,19 @@ class TestTokenize:
     def test_negative_duration_rejected(self):
         with pytest.raises(NegativeDuration):
             tokenize([RawEvent(TokenClass.MOTION_EVENT, "X", ("a",), 3.0, 1.0)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_event_lists(), st.sampled_from((0.01, 0.5, 2.0)))
+    @example(  # equal cuts from events met in and out of input order
+        [
+            RawEvent(TokenClass.STATE_CHANGE, "Y", ("a",), 1, 3.0),
+            RawEvent(TokenClass.STATE_CHANGE, "Y", ("a",), 0, 3),
+            RawEvent(TokenClass.STATE_CHANGE, "X", ("a",), 1, 5),
+        ],
+        0.01,
+    )
+    def test_matches_per_event_definition(self, raws, eps):
+        assert token_dump(tokenize(raws, eps)) == token_dump(tokenize_oracle(raws, eps))
 
     def test_sorted_by_start(self):
         raw = [
@@ -162,10 +206,17 @@ class TestRank:
         b = self.mk("y", 0.5, 1, 0.0)
         assert rank([b, a]) == [a, b]
 
-    def test_phase_count_second(self):
-        a = self.mk("x", 0.5, 3, 0.0)
-        b = self.mk("y", 0.5, 2, 0.0)
-        assert rank([b, a]) == [a, b]
+    def test_equal_coverage_implies_equal_phase_count(self):
+        # Why phase count is no rank key: within one parse, coverage is
+        # phases / tokens, so it never separates two equal coverages.
+        rng = random.Random(5)
+        store = build_generator_store()
+        for _ in range(200):
+            library = [random_plan(rng, store, plan_id=f"P{k}") for k in range(4)]
+            phases = {}
+            for i in parse(random_episode(rng), library, store):
+                phases.setdefault(i.coverage, set()).add(len(i.phase_grounding))
+            assert all(len(counts) == 1 for counts in phases.values())
 
     def test_earliest_start_third(self):
         a = self.mk("x", 0.5, 2, 0.0)
