@@ -7,7 +7,7 @@ checks against terminal situations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
 from .errors import MissingSlot, TemporallyInconsistent
@@ -191,28 +191,24 @@ def _check_event_type_ref(
             issues.append(ValidationIssue("kind-mismatch", f"{pid} is not a Parameter"))
 
 
-def _slot_roles(d: Description) -> Dict[str, EventTypeRef]:
-    """All phase-like slots of a description, keyed by slot id."""
-    slots: Dict[str, EventTypeRef] = {}
-    if isinstance(d, Plan):
-        slots[d.defines_task.id] = d.defines_task
-        for p in d.phases:
-            slots[p.id] = p
-    elif isinstance(d, ProcessFlow):
-        if d.defines_process is not None:
-            slots[d.defines_process.id] = d.defines_process
-        for p in d.phases:
-            slots[p.id] = p
-    elif isinstance(d, Configuration) and d.defines_state is not None:
-        slots[d.defines_state.id] = d.defines_state
-    return slots
+def _slot_refs(d: Description) -> List[EventTypeRef]:
+    """All phase-like slots of a description: the defined event, if any,
+    then the phases in order."""
+    defined = _defined_ref(d)
+    return ([defined] if defined is not None else []) + list(getattr(d, "phases", ()))
 
 
 def validate_description(d: Description, store: OntologyStore) -> List[ValidationIssue]:
     """Structural and temporal validation; an empty list means valid."""
     issues: List[ValidationIssue] = []
-    slots = _slot_roles(d)
-    for ref in slots.values():
+    refs = _slot_refs(d)
+    phase_ids: Set[str] = set()
+    for ref in refs:
+        if ref.id in phase_ids:
+            issues.append(
+                ValidationIssue("duplicate-slot", f"slot id {ref.id} is used more than once")
+            )
+        phase_ids.add(ref.id)
         _check_event_type_ref(ref, store, issues)
     # Phases may be any event concept; only the defined slot must match the arm.
     defined = _defined_ref(d)
@@ -225,7 +221,6 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                     f"{_DEFINES_KIND[type(d)].value} concept",
                 )
             )
-    phase_ids = set(slots)
     for c in getattr(d, "constraints", ()):
         if isinstance(c, PhaseConstraint):
             for side in (c.left, c.right):
@@ -246,9 +241,7 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                 )
     if isinstance(d, Plan):
         declared_roles = {
-            (slot_id, rid)
-            for slot_id, ref in slots.items()
-            for rid in ref.uses_roles + ref.uses_parameters
+            (ref.id, rid) for ref in refs for rid in ref.uses_roles + ref.uses_parameters
         }
         for b in d.bindings:
             if len(b.slots) < 2:
@@ -273,7 +266,7 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                         ValidationIssue("unknown-phase", f"succedence references {side}")
                     )
         if d.goal is not None:
-            plan_roles = {rid for ref in slots.values() for rid in ref.uses_roles}
+            plan_roles = {rid for ref in refs for rid in ref.uses_roles}
             for state_type, roles in d.goal.desired:
                 if not store.has_concept(state_type):
                     issues.append(
@@ -379,7 +372,7 @@ def interpretation_square_violations(
         if d is None:
             violations.append(f"{s.id} satisfies unknown description {s.satisfies}")
             continue
-        defined_concepts = {ref.concept for ref in _slot_roles(d).values()}
+        defined_concepts = {ref.concept for ref in _slot_refs(d)}
         for cls in store.classifications():
             if cls.concept not in defined_concepts:
                 continue

@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -25,6 +26,17 @@ from .grounding import (
 from .parsing import parse as parse_episode
 
 
+def _eps(text: str) -> float:
+    """argparse type of --eps: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soma-kit",
@@ -38,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse an episode against a plan library")
     p.add_argument("library")
     p.add_argument("episode")
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--eps", type=_eps, default=0.01)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--format", choices=("text", "machine"), default="text")
 
@@ -52,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("library")
     p.add_argument("episode")
     p.add_argument("task")
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--eps", type=_eps, default=0.01)
     p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("force", help="force-dynamics outcome classification")

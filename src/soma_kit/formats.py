@@ -354,7 +354,11 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         descriptions.append(_description_from_json(node))
 
     store.freeze()
+    seen_ids = set()
     for d in descriptions:
+        if d.id in seen_ids:
+            issues.append(f"description {d.id}: duplicate-description: id is used more than once")
+        seen_ids.add(d.id)
         for issue in validate_description(d, store):
             issues.append(f"description {d.id}: {issue}")
 
@@ -413,6 +417,10 @@ def load_episode(path: Union[str, Path], eps: float = 0.01) -> Episode:
 
 
 def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episode") -> Episode:
+    """Episode of a parsed document. An event without `class` or `type`, or
+    whose `type` is not a string, is a ParseError naming its index; a
+    non-positive or non-finite eps is a DegenerateInterval (from
+    `tokenize`)."""
     scene = _scene_from_json(doc.get("scene", {}))
     raw_events: List[RawEvent] = []
     issues: List[str] = []
@@ -421,6 +429,11 @@ def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episo
         for p in participants:
             if p not in scene:
                 issues.append(f"event {idx}: participant {p} not in scene")
+        for key in ("class", "type"):
+            if key not in node:
+                raise ParseError(f"event {idx}: missing {key!r}")
+        if not isinstance(node["type"], str):
+            raise ParseError(f"event {idx}: type is not a string: {node['type']!r}")
         try:
             kind = TokenClass(node["class"])
         except ValueError:

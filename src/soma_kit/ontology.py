@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .errors import (
     BranchViolation,
@@ -220,6 +220,8 @@ class OntologyStore:
 
     def __init__(self) -> None:
         self._concepts: Dict[str, Concept] = {}
+        self._by_name: Dict[str, List[Concept]] = {}
+        self._ancestors: Dict[str, FrozenSet[str]] = {}
         self._entities: Dict[str, Entity] = {}
         self._affordances: Dict[str, AffordanceSpec] = {}
         self._designs: Dict[str, DesignSpec] = {}
@@ -277,7 +279,9 @@ class OntologyStore:
                 )
         if restriction is not None and kind not in RESTRICTABLE_KINDS:
             raise KindMismatch(f"{kind.value} concepts cannot carry restrictions")
-        self._concepts[cid] = Concept(cid, name, kind, parents, restriction)
+        concept = Concept(cid, name, kind, parents, restriction)
+        self._concepts[cid] = concept
+        self._by_name.setdefault(name, []).append(concept)
         return cid
 
     def concept(self, cid: str) -> Concept:
@@ -293,22 +297,40 @@ class OntologyStore:
         return tuple(self._concepts.values())
 
     def concepts_named(self, name: str) -> Tuple[Concept, ...]:
-        return tuple(c for c in self._concepts.values() if c.name == name)
+        return tuple(self._by_name.get(name, ()))
+
+    def ancestors(self, cid: str) -> FrozenSet[str]:
+        """`cid` and every concept reachable from it via parent edges.
+
+        Computed on first query and memoized. A closure never changes once
+        known, frozen store or not: parents are older than their children
+        and concepts are immutable. Only queried concepts are memoized (a
+        chain of n concepts would otherwise hold O(n²) ids); the walk stops
+        at any concept whose closure is already known and needs no
+        recursion, however deep the taxonomy.
+        """
+        closure = self._ancestors.get(cid)
+        if closure is not None:
+            return closure
+        seen = {self.concept(cid).id}
+        frontier = [cid]
+        while frontier:
+            for pid in self._concepts[frontier.pop()].parents:
+                if pid in seen:
+                    continue
+                known = self._ancestors.get(pid)
+                if known is not None:
+                    seen |= known
+                else:
+                    seen.add(pid)
+                    frontier.append(pid)
+        closure = self._ancestors[cid] = frozenset(seen)
+        return closure
 
     def is_subsumed_by(self, a: str, b: str) -> bool:
         """True iff b is reachable from a via parent edges (reflexive)."""
         self.concept(b)
-        frontier = [self.concept(a).id]
-        visited: Set[str] = set()
-        while frontier:
-            node = frontier.pop()
-            if node == b:
-                return True
-            if node in visited:
-                continue
-            visited.add(node)
-            frontier.extend(self._concepts[node].parents)
-        return False
+        return b in self.ancestors(a)
 
     # -- entities
 

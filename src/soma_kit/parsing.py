@@ -92,8 +92,12 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
 
     A state event is split by any other state event over the same
     participants that carries a different type tag, so every state token is
-    homeomeric: no sub-interval spans a state transition.
+    homeomeric: no sub-interval spans a state transition. A point event is
+    widened to [t, t + eps], so eps must be positive and finite; any other
+    eps raises DegenerateInterval.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise DegenerateInterval(f"eps must be a positive finite number, got {eps!r}")
     widened: List[RawEvent] = []
     for ev in raw_events:
         if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
@@ -254,34 +258,39 @@ def parse(
         if not _parseable(d):
             continue
         net = compile_constraints(d)
-        _search(d, list(d.phases), {}, episode, net, store, found)
+        candidates = [
+            [t for t in episode.tokens if _type_matches(t, p.concept, store)]
+            for p in d.phases
+        ]
+        _search(d, list(d.phases), candidates, {}, episode, net, store, found)
     return rank(found)
 
 
 def _search(
     d: Description,
     phases: List[EventTypeRef],
+    candidates: List[List[Token]],
     assigned: Dict[str, Token],
     episode: Episode,
     net: ConstraintNetwork,
     store: OntologyStore,
     out: List[Interpretation],
 ) -> None:
+    """Extend `assigned` phase by phase; `candidates[i]` holds the tokens,
+    in episode order, whose type matches phase i."""
     if len(assigned) == len(phases):
         for roles in _role_assignments(d, assigned, episode.scene, store):
             out.append(_make_interpretation(d, assigned, roles, episode))
         return
     phase = phases[len(assigned)]
     used = {t.id for t in assigned.values()}
-    for token in episode.tokens:
+    for token in candidates[len(assigned)]:
         if token.id in used:
-            continue
-        if not _type_matches(token, phase.concept, store):
             continue
         if not _temporally_admissible(phase.id, token, assigned, net, episode.eps):
             continue
         assigned[phase.id] = token
-        _search(d, phases, assigned, episode, net, store, out)
+        _search(d, phases, candidates, assigned, episode, net, store, out)
         del assigned[phase.id]
 
 

@@ -9,7 +9,9 @@ the library's composition table, propagation, or parser search:
 - composition entries and network realizability are decided by enumerating
   atomic scenarios and checking endpoint-order satisfiability;
 - restriction evaluation is re-coded as a flat scan;
-- parsing is re-coded as exhaustive enumeration over injective assignments;
+- parsing is re-coded as exhaustive enumeration over injective assignments,
+  with its own type match: a scan of every concept by name and a DFS over
+  parent edges, never the store's name index or ancestor closure;
 - tokenization is the per-event definition: every state event is checked
   against every other event for a conflicting state.
 """
@@ -30,6 +32,7 @@ from soma_kit import (
 )
 from soma_kit.errors import DegenerateInterval, NegativeDuration
 from soma_kit.ontology import (
+    EVENT_CONCEPT_KINDS,
     And,
     EntityKind,
     HasDisposition,
@@ -38,7 +41,6 @@ from soma_kit.ontology import (
     RegionWithin,
     TypeTagIn,
 )
-from soma_kit.parsing import _type_matches  # reused name lookup, checks stay ours
 
 # Endpoint constraints for "A r B" as (op, left, right) over symbols
 # 'a-', 'a+', 'b-', 'b+'. op is '<' or '='. Implicit: x- < x+ per interval.
@@ -203,6 +205,36 @@ def restriction_brute_force(entity, r):
     raise TypeError(r)
 
 
+def subsumed_oracle(store, a, b):
+    """True iff b is reachable from a via parent edges (reflexive): a DFS
+    over `Concept.parents`, no memo."""
+    store.concept(b)
+    frontier = [store.concept(a).id]
+    visited = set()
+    while frontier:
+        node = frontier.pop()
+        if node == b:
+            return True
+        if node in visited:
+            continue
+        visited.add(node)
+        frontier.extend(store.concept(node).parents)
+    return False
+
+
+def type_matches_oracle(token, phase_concept, store):
+    """Some event concept named like the token's type tag is subsumed by
+    the phase's concept; concepts are found by scanning them all."""
+    for c in store.concepts():
+        if (
+            c.name == token.type_tag
+            and c.kind in EVENT_CONCEPT_KINDS
+            and subsumed_oracle(store, c.id, phase_concept)
+        ):
+            return True
+    return False
+
+
 def parse_oracle(episode, library, store):
     """Exhaustive enumeration of interpretations: all injective phase-token
     maps crossed with all role assignments, filtered by the four parser
@@ -236,7 +268,7 @@ def parse_oracle(episode, library, store):
 
 def _assignment_ok(d, phases, mapping, net, episode, store):
     for p in phases:
-        if not _type_matches(mapping[p.id], p.concept, store):
+        if not type_matches_oracle(mapping[p.id], p.concept, store):
             return False
     ids = [p.id for p in phases]
     for i, pid in enumerate(ids):

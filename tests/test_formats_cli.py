@@ -10,8 +10,14 @@ from soma_kit import (
     serialize_library,
 )
 from soma_kit.cli import main
-from soma_kit.errors import NegativeDuration, ParseError, ValidationFailed, VersionMismatch
-from soma_kit.formats import load_library_document
+from soma_kit.errors import (
+    DegenerateInterval,
+    NegativeDuration,
+    ParseError,
+    ValidationFailed,
+    VersionMismatch,
+)
+from soma_kit.formats import load_episode_document, load_library_document
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 
@@ -82,6 +88,27 @@ class TestLibraryLoading:
         with pytest.raises(ValidationFailed) as exc:
             load_library_document(doc)
         assert len(exc.value.issues) >= 2
+
+    def test_duplicate_description_id(self):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"].append(doc["descriptions"][0])
+        with pytest.raises(ValidationFailed) as exc:
+            load_library_document(doc)
+        assert exc.value.issues == [
+            "description PouringPlan: duplicate-description: id is used more than once"
+        ]
+
+    @pytest.mark.parametrize("reused", ["phase", "defines"])
+    def test_duplicate_slot_id(self, reused):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        plan = doc["descriptions"][0]
+        slot_id = plan["phases"][0]["id"] if reused == "phase" else plan["defines"]["id"]
+        plan["phases"][1]["id"] = slot_id
+        with pytest.raises(ValidationFailed) as exc:
+            load_library_document(doc)
+        assert (
+            f"description PouringPlan: duplicate-slot: slot id {slot_id} is used more than once"
+        ) in exc.value.issues
 
 
 class TestRoundTrip:
@@ -155,6 +182,25 @@ class TestEpisodeLoading:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="event 2: give start/end or a timestamp"):
             load_episode(path)
+
+    @pytest.mark.parametrize("key", ["class", "type"])
+    def test_event_without_class_or_type_is_parse_error(self, key):
+        doc = json.loads(POURING_EPISODE.read_text())
+        del doc["events"][1][key]
+        with pytest.raises(ParseError, match=f"event 1: missing '{key}'"):
+            load_episode_document(doc)
+
+    def test_non_string_type_is_parse_error(self):
+        doc = json.loads(POURING_EPISODE.read_text())
+        doc["events"][2]["type"] = ["Tilting"]
+        with pytest.raises(ParseError, match=r"event 2: type is not a string: \['Tilting'\]"):
+            load_episode_document(doc)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_non_positive_eps_is_rejected(self, eps):
+        doc = json.loads(POURING_EPISODE.read_text())
+        with pytest.raises(DegenerateInterval, match="eps must be a positive finite number"):
+            load_episode_document(doc, eps=eps)
 
     def test_unknown_participant(self, tmp_path):
         doc = json.loads(POURING_EPISODE.read_text())
@@ -230,6 +276,46 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "event 0: missing 'end'" in err
+
+    def test_event_without_class_exit_2(self, capsys, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        del doc["events"][0]["class"]
+        path = tmp_path / "ep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "parse", str(SEED_LIBRARY), str(path))
+        assert code == 2
+        assert out == ""
+        assert "event 0: missing 'class'" in err
+
+    @pytest.mark.parametrize("command", ["parse", "select"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_non_positive_eps_is_usage_error(self, capsys, command, eps):
+        argv = [command, str(SEED_LIBRARY), str(POURING_EPISODE)]
+        argv += ["Pouring"] if command == "select" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--eps", eps])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --eps: must be a positive finite number" in captured.err
+
+    @pytest.mark.parametrize("defect", ["description", "phase"])
+    def test_duplicate_id_exit_1(self, capsys, tmp_path, defect):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        if defect == "description":
+            doc["descriptions"].append(doc["descriptions"][0])
+        else:
+            phases = doc["descriptions"][0]["phases"]
+            phases[1]["id"] = phases[0]["id"]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert f"duplicate-{'slot' if defect == 'phase' else 'description'}" in out
+        code, out, err = run_cli(capsys, "parse", str(path), str(POURING_EPISODE))
+        assert code == 1
+        assert out == ""
+        assert "issue: description PouringPlan: duplicate-" in err
 
     def test_parse_reports_interpretation(self, capsys):
         code, out, _ = run_cli(

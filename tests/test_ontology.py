@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from soma_kit import (
     AffordanceSpec,
@@ -27,7 +27,9 @@ from soma_kit.errors import (
     UnsupportedAspect,
 )
 
-from oracles import restriction_brute_force
+from oracles import restriction_brute_force, subsumed_oracle
+
+TAXONOMY_KINDS = (ConceptKind.TASK, ConceptKind.PROCESS_TYPE, ConceptKind.ROLE)
 
 
 def make_pot(with_containment=True):
@@ -91,6 +93,53 @@ class TestTaxonomy:
         store.freeze()
         with pytest.raises(StoreFrozen):
             store.add_concept("B", ConceptKind.TASK)
+
+    def test_unknown_id_in_subsumption(self, store):
+        t = store.add_concept("A", ConceptKind.TASK)
+        with pytest.raises(UnknownId):
+            store.is_subsumed_by("missing", t)
+        with pytest.raises(UnknownId):
+            store.is_subsumed_by(t, "missing")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_subsumption_matches_dfs(self, data):
+        """Random per-kind DAGs, queried while concepts are still being
+        added (so some closures are memoized before their descendants
+        exist) and again, every ordered pair, after freeze()."""
+        store = OntologyStore()
+        ids = []
+        for _ in range(data.draw(st.integers(1, 16), label="concepts")):
+            kind = data.draw(st.sampled_from(TAXONOMY_KINDS))
+            same_kind = [c for c in ids if store.concept(c).kind is kind]
+            parents = (
+                data.draw(st.lists(st.sampled_from(same_kind), max_size=3, unique=True))
+                if same_kind
+                else []
+            )
+            ids.append(store.add_concept(data.draw(st.sampled_from("ABC")), kind, parents))
+            pairs = data.draw(
+                st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)
+            )
+            for a, b in pairs:
+                assert store.is_subsumed_by(a, b) == subsumed_oracle(store, a, b)
+        store.freeze()
+        for a in ids:
+            for b in ids:
+                assert store.is_subsumed_by(a, b) == subsumed_oracle(store, a, b)
+        for name in "ABC":
+            scan = tuple(c for c in store.concepts() if c.name == name)
+            assert store.concepts_named(name) == scan
+
+    def test_deep_chain_needs_no_recursion(self, store):
+        chain = [store.add_concept("C0", ConceptKind.TASK)]
+        for i in range(1, 3000):
+            chain.append(store.add_concept(f"C{i}", ConceptKind.TASK, {chain[-1]}))
+        store.freeze()
+        assert store.is_subsumed_by(chain[1500], chain[0])
+        assert store.is_subsumed_by(chain[-1], chain[0])
+        assert not store.is_subsumed_by(chain[0], chain[-1])
+        assert len(store.ancestors(chain[-1])) == 3000
 
 
 class TestClassification:

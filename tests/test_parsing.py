@@ -12,7 +12,7 @@ from soma_kit import (
     tokenize,
     verify_interpretation,
 )
-from soma_kit.errors import DanglingReference, NegativeDuration
+from soma_kit.errors import DanglingReference, DegenerateInterval, NegativeDuration
 
 from generators import build_generator_store, random_case, random_episode, random_plan
 from oracles import parse_oracle, tokenize_oracle
@@ -108,6 +108,13 @@ class TestTokenize:
     def test_negative_duration_rejected(self):
         with pytest.raises(NegativeDuration):
             tokenize([RawEvent(TokenClass.MOTION_EVENT, "X", ("a",), 3.0, 1.0)])
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(DegenerateInterval, match="eps must be a positive finite number"):
+            tokenize([RawEvent(TokenClass.CONTACT_EVENT, "X", ("a",), 1.0, 1.0)], eps)
+        with pytest.raises(DegenerateInterval):
+            tokenize([], eps)
 
     @settings(max_examples=400, deadline=None)
     @given(raw_event_lists(), st.sampled_from((0.01, 0.5, 2.0)))
