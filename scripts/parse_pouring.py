@@ -30,7 +30,7 @@ def main():
     for name in ("pouring_episode.json", "pouring_ambiguous_episode.json"):
         episode = load_episode(DATA / name)
         print(f"\n{name}: {len(episode.tokens)} tokens")
-        selection = select_objects(plan.defines_task, episode.scene, store)
+        selection = select_objects(plan.defines, episode.scene, store)
         for role in sorted(selection):
             print(f"  {role} candidates: {sorted(selection[role])}")
         for interp in parse(episode, library, store):

@@ -2,12 +2,16 @@
 them: structural validation against an ontology store, compilation of phase
 structure into an interval constraint network, binding checks, and goal
 checks against terminal situations.
+
+Every description `defines` the event concept it conceptualizes (a task, a
+process type or a state type) and answers `phases`, `bindings` and
+`succedences`; a type that has none of one of these reads an empty tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
 from .errors import MissingSlot, TemporallyInconsistent
@@ -106,7 +110,7 @@ ConfigurationConstraint = Union[Restriction, StateRelationConstraint]
 @dataclass(frozen=True)
 class Plan:
     id: str
-    defines_task: EventTypeRef
+    defines: EventTypeRef
     phases: Tuple[EventTypeRef, ...]
     constraints: Tuple[PhaseConstraint, ...] = ()
     bindings: Tuple[Binding, ...] = ()
@@ -117,16 +121,21 @@ class Plan:
 @dataclass(frozen=True)
 class Configuration:
     id: str
-    defines_state: Optional[EventTypeRef] = None
+    defines: Optional[EventTypeRef] = None
     constraints: Tuple[ConfigurationConstraint, ...] = ()
+    phases: ClassVar[Tuple[EventTypeRef, ...]] = ()
+    bindings: ClassVar[Tuple[Binding, ...]] = ()
+    succedences: ClassVar[Tuple[ConditionalSuccedence, ...]] = ()
 
 
 @dataclass(frozen=True)
 class ProcessFlow:
     id: str
-    defines_process: Optional[EventTypeRef] = None
+    defines: Optional[EventTypeRef] = None
     phases: Tuple[EventTypeRef, ...] = ()
     constraints: Tuple[PhaseConstraint, ...] = ()
+    bindings: ClassVar[Tuple[Binding, ...]] = ()
+    succedences: ClassVar[Tuple[ConditionalSuccedence, ...]] = ()
 
 
 Description = Union[Plan, Configuration, ProcessFlow]
@@ -194,8 +203,7 @@ def _check_event_type_ref(
 def _slot_refs(d: Description) -> List[EventTypeRef]:
     """All phase-like slots of a description: the defined event, if any,
     then the phases in order."""
-    defined = _defined_ref(d)
-    return ([defined] if defined is not None else []) + list(getattr(d, "phases", ()))
+    return ([d.defines] if d.defines is not None else []) + list(d.phases)
 
 
 def validate_description(d: Description, store: OntologyStore) -> List[ValidationIssue]:
@@ -211,9 +219,8 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
         phase_ids.add(ref.id)
         _check_event_type_ref(ref, store, issues)
     # Phases may be any event concept; only the defined slot must match the arm.
-    defined = _defined_ref(d)
-    if defined is not None and store.has_concept(defined.concept):
-        if store.concept(defined.concept).kind is not _DEFINES_KIND[type(d)]:
+    if d.defines is not None and store.has_concept(d.defines.concept):
+        if store.concept(d.defines.concept).kind is not _DEFINES_KIND[type(d)]:
             issues.append(
                 ValidationIssue(
                     "kind-mismatch",
@@ -221,7 +228,7 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                     f"{_DEFINES_KIND[type(d)].value} concept",
                 )
             )
-    for c in getattr(d, "constraints", ()):
+    for c in d.constraints:
         if isinstance(c, PhaseConstraint):
             for side in (c.left, c.right):
                 if side not in phase_ids:
@@ -239,48 +246,41 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                         "unknown-state-relation", f"unsupported relation {c.relation}"
                     )
                 )
-    if isinstance(d, Plan):
-        declared_roles = {
-            (ref.id, rid) for ref in refs for rid in ref.uses_roles + ref.uses_parameters
-        }
-        for b in d.bindings:
-            if len(b.slots) < 2:
+    declared_roles = {
+        (ref.id, rid) for ref in refs for rid in ref.uses_roles + ref.uses_parameters
+    }
+    for b in d.bindings:
+        if len(b.slots) < 2:
+            issues.append(
+                ValidationIssue("binding-too-small", f"binding {b.id} needs >= 2 slots")
+            )
+        for slot in b.slots:
+            if slot not in declared_roles:
                 issues.append(
-                    ValidationIssue("binding-too-small", f"binding {b.id} needs >= 2 slots")
+                    ValidationIssue("unknown-binding-slot", f"binding {b.id} references {slot}")
                 )
-            for slot in b.slots:
-                if slot not in declared_roles:
-                    issues.append(
-                        ValidationIssue(
-                            "unknown-binding-slot", f"binding {b.id} references {slot}"
-                        )
-                    )
-        for s in d.succedences:
-            if s.earlier == s.later:
+    for s in d.succedences:
+        if s.earlier == s.later:
+            issues.append(ValidationIssue("self-succedence", f"{s.id} relates a task to itself"))
+        for side in (s.earlier, s.later):
+            if side not in phase_ids:
+                issues.append(ValidationIssue("unknown-phase", f"succedence references {side}"))
+    if isinstance(d, Plan) and d.goal is not None:
+        plan_roles = {rid for ref in refs for rid in ref.uses_roles}
+        for state_type, roles in d.goal.desired:
+            if not store.has_concept(state_type):
                 issues.append(
-                    ValidationIssue("self-succedence", f"{s.id} relates a task to itself")
+                    ValidationIssue("unknown-concept", f"goal references {state_type}")
                 )
-            for side in (s.earlier, s.later):
-                if side not in phase_ids:
+            elif store.concept(state_type).kind is not ConceptKind.STATE_TYPE:
+                issues.append(
+                    ValidationIssue("kind-mismatch", f"{state_type} is not a StateType")
+                )
+            for rid in roles:
+                if rid not in plan_roles:
                     issues.append(
-                        ValidationIssue("unknown-phase", f"succedence references {side}")
+                        ValidationIssue("unknown-role", f"goal binds unknown role {rid}")
                     )
-        if d.goal is not None:
-            plan_roles = {rid for ref in refs for rid in ref.uses_roles}
-            for state_type, roles in d.goal.desired:
-                if not store.has_concept(state_type):
-                    issues.append(
-                        ValidationIssue("unknown-concept", f"goal references {state_type}")
-                    )
-                elif store.concept(state_type).kind is not ConceptKind.STATE_TYPE:
-                    issues.append(
-                        ValidationIssue("kind-mismatch", f"{state_type} is not a StateType")
-                    )
-                for rid in roles:
-                    if rid not in plan_roles:
-                        issues.append(
-                            ValidationIssue("unknown-role", f"goal binds unknown role {rid}")
-                        )
     if not issues and not isinstance(d, Configuration):
         try:
             compile_constraints(d)
@@ -289,22 +289,13 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
     return issues
 
 
-def _defined_ref(d: Description) -> Optional[EventTypeRef]:
-    if isinstance(d, Plan):
-        return d.defines_task
-    if isinstance(d, ProcessFlow):
-        return d.defines_process
-    return d.defines_state
-
-
 def compile_constraints(d: Description) -> ConstraintNetwork:
     """Interval network of a plan or process flow: one variable per phase
     plus one for the whole defined event, propagated to fixpoint."""
     if isinstance(d, Configuration):
         raise TypeError("configurations carry no temporal structure")
     net = ConstraintNetwork()
-    defined = _defined_ref(d)
-    whole: Optional[str] = defined.id if defined is not None else None
+    whole: Optional[str] = d.defines.id if d.defines is not None else None
     if whole is not None:
         net.add_variable(whole)
     for p in d.phases:
@@ -313,9 +304,8 @@ def compile_constraints(d: Description) -> ConstraintNetwork:
             net.constrain(p.id, whole, HAS_PHASE)
     for c in d.constraints:
         net.constrain(c.left, c.right, c.relation)
-    if isinstance(d, Plan):
-        for s in d.succedences:
-            net.constrain(s.earlier, s.later, SUCCEDENCE)
+    for s in d.succedences:
+        net.constrain(s.earlier, s.later, SUCCEDENCE)
     result = net.propagate()
     if not result.consistent:
         raise TemporallyInconsistent(
@@ -326,7 +316,7 @@ def compile_constraints(d: Description) -> ConstraintNetwork:
 
 def check_bindings(d: Description, grounding: Dict[Tuple[str, str], str]) -> bool:
     """True iff every binding's slots map to one and the same entity."""
-    for b in getattr(d, "bindings", ()):
+    for b in d.bindings:
         values = set()
         for slot in b.slots:
             if slot not in grounding:

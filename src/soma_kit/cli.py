@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .activity import EventTypeRef, Plan, ProcessFlow, compile_constraints
+from .activity import Configuration, EventTypeRef, compile_constraints
 from .errors import ParseError, SomaKitError, ValidationFailed, VersionMismatch
 from .formats import load_episode, load_library
 from .grounding import (
@@ -114,13 +114,12 @@ def _cmd_parse(args) -> int:
 
 
 def _find_ref(store, descriptions, name: str) -> Optional[EventTypeRef]:
-    """First slot, walking (defined ref, *phases) of each plan or process
-    flow in order, whose id or concept name is `name`."""
+    """First slot, walking (defined event, *phases) of each description that
+    is not a configuration, in order, whose id or concept name is `name`."""
     for d in descriptions:
-        if not isinstance(d, (Plan, ProcessFlow)):
+        if isinstance(d, Configuration):
             continue
-        defined = d.defines_task if isinstance(d, Plan) else d.defines_process
-        for ref in (defined, *d.phases):
+        for ref in (d.defines, *d.phases):
             if ref is not None and (
                 ref.id == name
                 or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
@@ -133,7 +132,7 @@ def _cmd_query(args) -> int:
     store, library = load_library(args.library)
     target = None
     for d in library:
-        if d.id == args.plan and isinstance(d, (Plan, ProcessFlow)):
+        if d.id == args.plan and not isinstance(d, Configuration):
             target = d
             break
     if target is None:

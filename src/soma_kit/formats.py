@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .activity import (
     Binding,
@@ -26,7 +26,6 @@ from .activity import (
 from .allen import RelationSet
 from .errors import (
     KindMismatch,
-    NegativeDuration,
     ParseError,
     UnknownId,
     UnsupportedAspect,
@@ -78,6 +77,24 @@ def _check_version(doc: dict, path) -> None:
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: expected {FORMAT_VERSION!r}, got {version!r}")
+
+
+def _records(doc: dict, key: str) -> list:
+    """The list of objects under `key` (empty when absent); anything else is
+    a ParseError naming the key or the record index."""
+    records = doc.get(key, [])
+    if not isinstance(records, list):
+        raise ParseError(f"{key}: expected a list, got {type(records).__name__}")
+    for idx, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ParseError(f"{key[:-1]} {idx}: expected an object, got {record!r}")
+    return records
+
+
+def _required(node: dict, key: str, where: str):
+    if key not in node:
+        raise ParseError(f"{where}: missing {key!r}")
+    return node[key]
 
 
 # --- restrictions --------------------------------------------------------------
@@ -158,124 +175,105 @@ def _ref_to_json(ref: EventTypeRef) -> dict:
     }
 
 
-def _description_from_json(node: dict) -> Description:
-    kind = node.get("type")
-    if kind == "plan":
+#: Description classes by their JSON "type" tag, and back.
+_DESCRIPTION_TYPES = {"plan": Plan, "configuration": Configuration, "process_flow": ProcessFlow}
+_DESCRIPTION_TAGS = {cls: tag for tag, cls in _DESCRIPTION_TYPES.items()}
+
+
+def _description_from_json(idx: int, node: dict) -> Description:
+    """Description of record `idx`; a record without `id`, a plan without
+    `defines` or an unknown `type` is a ParseError naming the record."""
+    did = _required(node, "id", f"description {idx}")
+    cls = _DESCRIPTION_TYPES.get(node.get("type"))
+    if cls is None:
+        raise ParseError(f"description {did}: unknown description type: {node.get('type')!r}")
+    defines = node.get("defines")
+    if cls is Plan and not defines:
+        raise ParseError(f"description {did}: missing 'defines'")
+    fields = {"id": did, "defines": _ref_from_json(defines) if defines else None}
+    constraints = node.get("constraints", [])
+    if cls is Configuration:
+        fields["constraints"] = tuple(
+            StateRelationConstraint(c["relation"], c["left"], c["right"])
+            if "relation" in c
+            else restriction_from_json(c)
+            for c in constraints
+        )
+        return cls(**fields)
+    fields["phases"] = tuple(_ref_from_json(p) for p in node.get("phases", []))
+    fields["constraints"] = tuple(
+        PhaseConstraint(c["left"], _relation_from_json(c["relation"]), c["right"])
+        for c in constraints
+    )
+    if cls is Plan:
         goal = node.get("goal")
-        return Plan(
-            id=node["id"],
-            defines_task=_ref_from_json(node["defines"]),
-            phases=tuple(_ref_from_json(p) for p in node.get("phases", [])),
-            constraints=tuple(
-                PhaseConstraint(c["left"], _relation_from_json(c["relation"]), c["right"])
-                for c in node.get("constraints", [])
-            ),
-            bindings=tuple(
-                Binding(b["id"], frozenset(tuple(s) for s in b["slots"]))
-                for b in node.get("bindings", [])
-            ),
-            succedences=tuple(
-                ConditionalSuccedence(
-                    s["id"],
-                    s["earlier"],
-                    s["later"],
-                    restriction_from_json(s["condition"]) if s.get("condition") else None,
-                )
-                for s in node.get("succedences", [])
-            ),
-            goal=Goal(
+        fields["bindings"] = tuple(
+            Binding(b["id"], frozenset(tuple(s) for s in b["slots"]))
+            for b in node.get("bindings", [])
+        )
+        fields["succedences"] = tuple(
+            ConditionalSuccedence(
+                s["id"],
+                s["earlier"],
+                s["later"],
+                restriction_from_json(s["condition"]) if s.get("condition") else None,
+            )
+            for s in node.get("succedences", [])
+        )
+        fields["goal"] = (
+            Goal(
                 goal["id"],
                 tuple((g["state"], tuple(g.get("roles", []))) for g in goal["desired"]),
             )
             if goal
-            else None,
+            else None
         )
-    if kind == "configuration":
-        constraints = []
-        for c in node.get("constraints", []):
-            if "relation" in c:
-                constraints.append(
-                    StateRelationConstraint(c["relation"], c["left"], c["right"])
-                )
-            else:
-                constraints.append(restriction_from_json(c))
-        defines = node.get("defines")
-        return Configuration(
-            id=node["id"],
-            defines_state=_ref_from_json(defines) if defines else None,
-            constraints=tuple(constraints),
-        )
-    if kind == "process_flow":
-        defines = node.get("defines")
-        return ProcessFlow(
-            id=node["id"],
-            defines_process=_ref_from_json(defines) if defines else None,
-            phases=tuple(_ref_from_json(p) for p in node.get("phases", [])),
-            constraints=tuple(
-                PhaseConstraint(c["left"], _relation_from_json(c["relation"]), c["right"])
-                for c in node.get("constraints", [])
-            ),
-        )
-    raise ParseError(f"unknown description type: {kind!r}")
+    return cls(**fields)
 
 
 def _description_to_json(d: Description) -> dict:
+    node = {
+        "id": d.id,
+        "type": _DESCRIPTION_TAGS[type(d)],
+        "defines": _ref_to_json(d.defines) if d.defines else None,
+    }
+    if isinstance(d, Configuration):
+        node["constraints"] = [
+            {"relation": c.relation, "left": c.left, "right": c.right}
+            if isinstance(c, StateRelationConstraint)
+            else restriction_to_json(c)
+            for c in d.constraints
+        ]
+        return node
+    node["phases"] = [_ref_to_json(p) for p in d.phases]
+    node["constraints"] = [
+        {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
+        for c in d.constraints
+    ]
     if isinstance(d, Plan):
-        return {
-            "id": d.id,
-            "type": "plan",
-            "defines": _ref_to_json(d.defines_task),
-            "phases": [_ref_to_json(p) for p in d.phases],
-            "constraints": [
-                {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
-                for c in d.constraints
-            ],
-            "bindings": [
-                {"id": b.id, "slots": sorted(list(s) for s in b.slots)} for b in d.bindings
-            ],
-            "succedences": [
-                {
-                    "id": s.id,
-                    "earlier": s.earlier,
-                    "later": s.later,
-                    "condition": restriction_to_json(s.condition) if s.condition else None,
-                }
-                for s in d.succedences
-            ],
-            "goal": {
+        node["bindings"] = [
+            {"id": b.id, "slots": sorted(list(s) for s in b.slots)} for b in d.bindings
+        ]
+        node["succedences"] = [
+            {
+                "id": s.id,
+                "earlier": s.earlier,
+                "later": s.later,
+                "condition": restriction_to_json(s.condition) if s.condition else None,
+            }
+            for s in d.succedences
+        ]
+        node["goal"] = (
+            {
                 "id": d.goal.id,
                 "desired": [
                     {"state": state, "roles": list(roles)} for state, roles in d.goal.desired
                 ],
             }
             if d.goal
-            else None,
-        }
-    if isinstance(d, Configuration):
-        constraints = []
-        for c in d.constraints:
-            if isinstance(c, StateRelationConstraint):
-                constraints.append(
-                    {"relation": c.relation, "left": c.left, "right": c.right}
-                )
-            else:
-                constraints.append(restriction_to_json(c))
-        return {
-            "id": d.id,
-            "type": "configuration",
-            "defines": _ref_to_json(d.defines_state) if d.defines_state else None,
-            "constraints": constraints,
-        }
-    return {
-        "id": d.id,
-        "type": "process_flow",
-        "defines": _ref_to_json(d.defines_process) if d.defines_process else None,
-        "phases": [_ref_to_json(p) for p in d.phases],
-        "constraints": [
-            {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
-            for c in d.constraints
-        ],
-    }
+            else None
+        )
+    return node
 
 
 # --- library --------------------------------------------------------------------
@@ -293,21 +291,36 @@ def load_library(path: Union[str, Path]) -> Tuple[OntologyStore, List[Descriptio
 
 
 def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
+    """Store and descriptions of a parsed library document. A malformed
+    record (a concept without `id` or with an unknown `kind`, a description
+    without `id`, a plan without `defines`, a top-level list that is not a
+    list of objects) is a ParseError naming it; validation issues, duplicate
+    ids among them, are collected into one ValidationFailed."""
     store = OntologyStore()
     issues: List[str] = []
 
-    pending = {c["id"]: c for c in doc.get("concepts", [])}
+    pending: Dict[str, Tuple[dict, ConceptKind]] = {}
+    for idx, record in enumerate(_records(doc, "concepts")):
+        cid = _required(record, "id", f"concept {idx}")
+        try:
+            kind = ConceptKind(record.get("kind"))
+        except ValueError:
+            raise ParseError(f"concept {idx}: unknown kind {record.get('kind')!r}") from None
+        if cid in pending:
+            issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
+        else:
+            pending[cid] = record, kind
     while pending:
         progressed = False
         for cid in list(pending):
-            record = pending[cid]
+            record, kind = pending[cid]
             parents = record.get("parents", [])
             if all(store.has_concept(p) for p in parents):
                 restriction = record.get("restriction")
                 try:
                     store.add_concept(
                         name=record.get("name", cid),
-                        kind=ConceptKind(record["kind"]),
+                        kind=kind,
                         parents=parents,
                         restriction=restriction_from_json(restriction)
                         if restriction
@@ -319,12 +332,12 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
                 del pending[cid]
                 progressed = True
         if not progressed:
-            for cid, record in sorted(pending.items()):
+            for cid, (record, _) in sorted(pending.items()):
                 missing = [p for p in record.get("parents", []) if not store.has_concept(p)]
                 issues.append(f"concept {cid}: unresolved parents {missing}")
             break
 
-    for node in doc.get("affordances", []):
+    for node in _records(doc, "affordances"):
         try:
             store.add_affordance(
                 AffordanceSpec(
@@ -337,7 +350,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         except (KindMismatch, UnknownId) as exc:
             issues.append(f"affordance {node.get('concept')}: {exc}")
 
-    for node in doc.get("designs", []):
+    for node in _records(doc, "designs"):
         try:
             store.add_design(
                 DesignSpec(
@@ -349,9 +362,10 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         except (KindMismatch, UnknownId, UnsupportedAspect, ValueError) as exc:
             issues.append(f"design {node.get('concept')}: {exc}")
 
-    descriptions: List[Description] = []
-    for node in doc.get("descriptions", []):
-        descriptions.append(_description_from_json(node))
+    descriptions = [
+        _description_from_json(idx, node)
+        for idx, node in enumerate(_records(doc, "descriptions"))
+    ]
 
     store.freeze()
     seen_ids = set()

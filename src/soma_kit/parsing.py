@@ -15,13 +15,7 @@ from enum import Enum
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .activity import (
-    Description,
-    EventTypeRef,
-    Plan,
-    ProcessFlow,
-    compile_constraints,
-)
+from .activity import Description, EventTypeRef, compile_constraints
 from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene
@@ -181,10 +175,6 @@ def _state_segments(ev: RawEvent, cuts: Sequence[_Cut]) -> List[Tuple[float, flo
     return segments
 
 
-def _parseable(d: Description) -> bool:
-    return isinstance(d, (Plan, ProcessFlow)) and bool(d.phases)
-
-
 def _type_matches(token: Token, phase_concept: str, store: OntologyStore) -> bool:
     """Subsumption-aware match of a token's ground type tag against the
     phase's event-type concept."""
@@ -225,7 +215,7 @@ def _expand_bindings(
 ) -> Optional[Dict[Tuple[str, str], str]]:
     """Propagate identity bindings; None when grounded slots disagree."""
     expanded = dict(grounding)
-    for b in getattr(d, "bindings", ()):
+    for b in d.bindings:
         values = {expanded[s] for s in b.slots if s in expanded}
         if len(values) > 1:
             return None
@@ -255,7 +245,7 @@ def parse(
     """Every interpretation of the episode under the plan library, ranked."""
     found: List[Interpretation] = []
     for d in library:
-        if not _parseable(d):
+        if not d.phases:
             continue
         net = compile_constraints(d)
         candidates = [
@@ -345,7 +335,7 @@ def verify_interpretation(
     if interp.plan not in by_id:
         raise DanglingReference(f"unknown plan: {interp.plan}")
     d = by_id[interp.plan]
-    if not _parseable(d):
+    if not d.phases:
         raise DanglingReference(f"description {d.id} has no parseable phases")
     tokens = {t.id: t for t in episode.tokens}
     phase_ids = {p.id for p in d.phases}
@@ -380,7 +370,7 @@ def verify_interpretation(
                 return False
     # (c) bindings hold
     roles = dict(interp.role_grounding)
-    for b in getattr(d, "bindings", ()):
+    for b in d.bindings:
         grounded = {roles[s] for s in b.slots if s in roles}
         if len(grounded) > 1:
             return False

@@ -93,7 +93,7 @@ def random_plan(rng: random.Random, store, plan_id="GenPlan", max_phases=4) -> P
                 bindings.append(Binding("bind0", frozenset(pair)))
         plan = Plan(
             id=plan_id,
-            defines_task=EventTypeRef("task0", "GenericTask"),
+            defines=EventTypeRef("task0", "GenericTask"),
             phases=phases,
             constraints=tuple(constraints),
             bindings=tuple(bindings),

@@ -295,7 +295,7 @@ def _all_role_groundings(d, phases, mapping, episode, store):
     for combo in product(*options) if slots else [()]:
         grounding = dict(zip(slots, combo))
         ok = True
-        for b in getattr(d, "bindings", ()):
+        for b in d.bindings:
             seen = {grounding[s] for s in b.slots if s in grounding}
             if len(seen) > 1:
                 ok = False

@@ -43,7 +43,7 @@ def build_store():
 def pouring_plan(goal=None):
     return Plan(
         id="PouringPlan",
-        defines_task=EventTypeRef(
+        defines=EventTypeRef(
             "Pouring_0", "Pouring", uses_roles=("Patient", "Source", "Destination")
         ),
         phases=(
@@ -70,7 +70,7 @@ class TestValidation:
         store = build_store().freeze()
         plan = Plan(
             id="P",
-            defines_task=EventTypeRef("Pouring_0", "Pouring"),
+            defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("Approaching_0", "Approaching"),),
             constraints=(
                 PhaseConstraint("Approaching_0", rs("b"), "Lifting_9"),
@@ -83,7 +83,7 @@ class TestValidation:
         store = build_store().freeze()
         plan = Plan(
             id="P",
-            defines_task=EventTypeRef("Pouring_0", "Pouring"),
+            defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(
                 EventTypeRef("A", "Approaching"),
                 EventTypeRef("B", "Tilting"),
@@ -98,13 +98,13 @@ class TestValidation:
 
     def test_unknown_concept(self):
         store = build_store().freeze()
-        plan = Plan(id="P", defines_task=EventTypeRef("X_0", "Levitating"), phases=())
+        plan = Plan(id="P", defines=EventTypeRef("X_0", "Levitating"), phases=())
         issues = validate_description(plan, store)
         assert any(i.code == "unknown-concept" for i in issues)
 
     def test_cross_wired_defines_kind(self):
         store = build_store().freeze()
-        config = Configuration(id="C", defines_state=EventTypeRef("S_0", "Pouring"))
+        config = Configuration(id="C", defines=EventTypeRef("S_0", "Pouring"))
         issues = validate_description(config, store)
         assert any(i.code == "kind-mismatch" for i in issues)
 
@@ -112,7 +112,7 @@ class TestValidation:
         store = build_store().freeze()
         plan = Plan(
             id="P",
-            defines_task=EventTypeRef("Pouring_0", "Pouring", uses_roles=("Source",)),
+            defines=EventTypeRef("Pouring_0", "Pouring", uses_roles=("Source",)),
             phases=(),
             bindings=(Binding("B1", frozenset({("Pouring_0", "Source")})),),
         )
@@ -144,7 +144,7 @@ class TestCompilation:
     def test_succedence_maps_to_before_or_meets(self):
         plan = Plan(
             id="P",
-            defines_task=EventTypeRef("Pouring_0", "Pouring"),
+            defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("T1", "Approaching"), EventTypeRef("T2", "Tilting")),
             succedences=(ConditionalSuccedence("S1", "T1", "T2"),),
         )
@@ -154,7 +154,7 @@ class TestCompilation:
     def test_inconsistent_plan_raises(self):
         plan = Plan(
             id="P",
-            defines_task=EventTypeRef("Pouring_0", "Pouring"),
+            defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("A", "Approaching"), EventTypeRef("B", "Tilting")),
             constraints=(
                 PhaseConstraint("A", rs("b"), "B"),

@@ -98,6 +98,16 @@ class TestLibraryLoading:
             "description PouringPlan: duplicate-description: id is used more than once"
         ]
 
+    def test_duplicate_concept_id(self):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        tilting = next(c for c in doc["concepts"] if c["id"] == "Tilting")
+        doc["concepts"].append(dict(tilting, name="Shaking"))
+        with pytest.raises(ValidationFailed) as exc:
+            load_library_document(doc)
+        assert exc.value.issues == [
+            "concept Tilting: duplicate-concept: id is used more than once"
+        ]
+
     @pytest.mark.parametrize("reused", ["phase", "defines"])
     def test_duplicate_slot_id(self, reused):
         doc = json.loads(SEED_LIBRARY.read_text())
@@ -299,23 +309,86 @@ class TestCli:
         assert captured.out == ""
         assert "argument --eps: must be a positive finite number" in captured.err
 
-    @pytest.mark.parametrize("defect", ["description", "phase"])
+    @pytest.mark.parametrize("defect", ["concept", "description", "phase"])
     def test_duplicate_id_exit_1(self, capsys, tmp_path, defect):
         doc = json.loads(SEED_LIBRARY.read_text())
-        if defect == "description":
+        if defect == "concept":
+            tilting = next(c for c in doc["concepts"] if c["id"] == "Tilting")
+            doc["concepts"].append(dict(tilting, name="Shaking"))
+            issue = "issue: concept Tilting: duplicate-concept"
+        elif defect == "description":
             doc["descriptions"].append(doc["descriptions"][0])
+            issue = "issue: description PouringPlan: duplicate-description"
         else:
             phases = doc["descriptions"][0]["phases"]
             phases[1]["id"] = phases[0]["id"]
+            issue = "issue: description PouringPlan: duplicate-slot"
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "validate", str(path))
         assert code == 1
-        assert f"duplicate-{'slot' if defect == 'phase' else 'description'}" in out
+        assert issue in out
         code, out, err = run_cli(capsys, "parse", str(path), str(POURING_EPISODE))
         assert code == 1
         assert out == ""
-        assert "issue: description PouringPlan: duplicate-" in err
+        assert issue in err
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "unknown-kind",
+            "concept-without-id",
+            "description-without-id",
+            "concepts-not-a-list",
+            "plan-without-defines",
+        ],
+    )
+    def test_malformed_library_record_exit_2(self, capsys, tmp_path, defect):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        if defect == "unknown-kind":
+            doc["concepts"][3]["kind"] = "gadget"
+        elif defect == "concept-without-id":
+            del doc["concepts"][3]["id"]
+        elif defect == "description-without-id":
+            del doc["descriptions"][1]["id"]
+        elif defect == "concepts-not-a-list":
+            doc["concepts"] = "x"
+        else:
+            del doc["descriptions"][0]["defines"]
+        message = {
+            "unknown-kind": "concept 3: unknown kind 'gadget'",
+            "concept-without-id": "concept 3: missing 'id'",
+            "description-without-id": "description 1: missing 'id'",
+            "concepts-not-a-list": "concepts: expected a list, got str",
+            "plan-without-defines": "description PouringPlan: missing 'defines'",
+        }[defect]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unresolved_parents_exit_1(self, capsys, tmp_path):
+        doc = {
+            "version": FORMAT_VERSION,
+            "concepts": [
+                {"id": "X3", "name": "X3", "kind": "task", "parents": ["Ghost", "X0"]},
+                {"id": "X2", "name": "X2", "kind": "task", "parents": ["X1"]},
+                {"id": "X0", "name": "X0", "kind": "task", "parents": []},
+                {"id": "X1", "name": "X1", "kind": "task", "parents": ["X0", "X2"]},
+            ],
+        }
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == (
+            "issue: concept X1: unresolved parents ['X2']\n"
+            "issue: concept X2: unresolved parents ['X1']\n"
+            "issue: concept X3: unresolved parents ['Ghost']\n"
+            "invalid: 3 issue(s)\n"
+        )
 
     def test_parse_reports_interpretation(self, capsys):
         code, out, _ = run_cli(

@@ -5,6 +5,10 @@ format, ranking or propagation order shows up here as a diff. To regenerate
 after an intended output change, write `run_cli(...)[1]` of each case to
 `tests/golden/<name>.out`. `tokens_state_episode.out` pins state splitting
 the same way: one `id start end type_tag` line per token of a seeded episode.
+`all_descriptions_library.json` holds one description of each type (a plan
+with a goal, a binding and a conditional succedence, a configuration, and
+process flows with and without a defined event); its canonical serialization
+is pinned in `all_descriptions_canonical.json`.
 """
 
 import pathlib
@@ -12,7 +16,7 @@ import random
 
 import pytest
 
-from soma_kit import tokenize
+from soma_kit import dumps_canonical, load_library, serialize_library, tokenize
 from soma_kit.cli import main
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
@@ -20,8 +24,10 @@ from generators import random_raw_events
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 INCONSISTENT_LIBRARY = GOLDEN / "inconsistent_library.json"
+ALL_DESCRIPTIONS_LIBRARY = GOLDEN / "all_descriptions_library.json"
 
 LIB, POUR, AMB = str(SEED_LIBRARY), str(POURING_EPISODE), str(AMBIGUOUS_EPISODE)
+ALL, MIX = str(ALL_DESCRIPTIONS_LIBRARY), str(GOLDEN / "mixing_episode.json")
 
 # name -> (argv, exit code)
 CASES = {
@@ -36,6 +42,13 @@ CASES = {
     "select_pouring": (("select", LIB, POUR, "Pouring"), 0),
     "select_pouring_machine": (("select", LIB, POUR, "Pouring", "--format", "machine"), 0),
     "select_tilting": (("select", LIB, AMB, "Tilting_0"), 0),
+    "validate_all_descriptions": (("validate", ALL), 0),
+    "parse_mixing": (("parse", ALL, MIX), 0),
+    "query_mixing_phases": (("query", ALL, "MixingFlow", "Rotating_0", "Tilting"), 0),
+    "query_mixing_defined": (("query", ALL, "MixingFlow", "Mixing", "Rotating_0"), 0),
+    "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),
+    "query_configuration": (("query", ALL, "FilledConfiguration", "Filled", "Filled_0"), 2),
+    "select_mixing_phase": (("select", ALL, POUR, "Tilting_1"), 0),
 }
 
 
@@ -52,3 +65,9 @@ def test_golden_state_episode_tokens():
     tokens = tokenize(random_raw_events(random.Random(2020), 300))
     dump = "".join(f"{t.id} {t.interval.start} {t.interval.end} {t.type_tag}\n" for t in tokens)
     assert dump == (GOLDEN / "tokens_state_episode.out").read_text()
+
+
+def test_golden_all_descriptions_canonical():
+    store, library = load_library(ALL_DESCRIPTIONS_LIBRARY)
+    dump = dumps_canonical(serialize_library(store, library))
+    assert dump == (GOLDEN / "all_descriptions_canonical.json").read_text()
