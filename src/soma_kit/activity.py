@@ -314,17 +314,37 @@ def compile_constraints(d: Description) -> ConstraintNetwork:
     return net
 
 
+def bind_roles(
+    d: Description, grounding: Dict[Tuple[str, str], str]
+) -> Optional[Dict[Tuple[str, str], str]]:
+    """Close a role grounding under the identity bindings of `d`, repeating
+    until no slot changes, so chains close in any binding order; None when
+    two slots bound to one entity are grounded differently."""
+    closed = dict(grounding)
+    changed = True
+    while changed:
+        changed = False
+        for b in d.bindings:
+            values = {closed[s] for s in b.slots if s in closed}
+            if len(values) > 1:
+                return None
+            if values:
+                (value,) = values
+                for s in b.slots:
+                    if s not in closed:
+                        closed[s] = value
+                        changed = True
+    return closed
+
+
 def check_bindings(d: Description, grounding: Dict[Tuple[str, str], str]) -> bool:
-    """True iff every binding's slots map to one and the same entity."""
+    """True iff every binding's slots map to one and the same entity; every
+    bound slot must be grounded."""
     for b in d.bindings:
-        values = set()
         for slot in b.slots:
             if slot not in grounding:
                 raise MissingSlot(f"binding {b.id} slot {slot} not grounded")
-            values.add(grounding[slot])
-        if len(values) > 1:
-            return False
-    return True
+    return bind_roles(d, grounding) is not None
 
 
 def check_goal(g: Goal, situation: Situation, store: OntologyStore) -> GoalResult:

@@ -79,21 +79,28 @@ def _check_version(doc: dict, path) -> None:
         raise VersionMismatch(f"{path}: expected {FORMAT_VERSION!r}, got {version!r}")
 
 
-def _records(doc: dict, key: str) -> list:
-    """The list of objects under `key` (empty when absent); anything else is
-    a ParseError naming the key or the record index."""
-    records = doc.get(key, [])
+def _records(node: dict, key: str, where: str = "") -> List[Tuple[str, dict]]:
+    """The objects under `key` (none when absent), each after its name for
+    messages (`concept 3`, `description P: phase 0`); anything but a list of
+    objects is a ParseError naming the key or the record."""
+    records = node.get(key, [])
+    prefix = f"{where}: " if where else ""
     if not isinstance(records, list):
-        raise ParseError(f"{key}: expected a list, got {type(records).__name__}")
-    for idx, record in enumerate(records):
+        raise ParseError(f"{prefix}{key}: expected a list, got {type(records).__name__}")
+    named = [(f"{prefix}{key[:-1]} {idx}", record) for idx, record in enumerate(records)]
+    for at, record in named:
         if not isinstance(record, dict):
-            raise ParseError(f"{key[:-1]} {idx}: expected an object, got {record!r}")
-    return records
+            raise ParseError(f"{at}: expected an object, got {record!r}")
+    return named
 
 
-def _required(node: dict, key: str, where: str):
+def _required(node: dict, key: str, where: str, kind: type = str):
+    """`node[key]`; a missing key or a value that is not a `kind` is a
+    ParseError naming `where`."""
     if key not in node:
         raise ParseError(f"{where}: missing {key!r}")
+    if not isinstance(node[key], kind):
+        raise ParseError(f"{where}: {key}: expected a {kind.__name__}, got {node[key]!r}")
     return node[key]
 
 
@@ -157,10 +164,10 @@ def _relation_to_json(rs: RelationSet):
     return name if name is not None else rs.codes().split()
 
 
-def _ref_from_json(node: dict) -> EventTypeRef:
+def _ref_from_json(at: str, node: dict) -> EventTypeRef:
     return EventTypeRef(
-        id=node["id"],
-        concept=node["concept"],
+        id=_required(node, "id", at),
+        concept=_required(node, "concept", at),
         uses_roles=tuple(node.get("roles", [])),
         uses_parameters=tuple(node.get("parameters", [])),
     )
@@ -180,45 +187,53 @@ _DESCRIPTION_TYPES = {"plan": Plan, "configuration": Configuration, "process_flo
 _DESCRIPTION_TAGS = {cls: tag for tag, cls in _DESCRIPTION_TYPES.items()}
 
 
-def _description_from_json(idx: int, node: dict) -> Description:
-    """Description of record `idx`; a record without `id`, a plan without
-    `defines` or an unknown `type` is a ParseError naming the record."""
-    did = _required(node, "id", f"description {idx}")
+def _description_from_json(at: str, node: dict) -> Description:
+    """Description of record `at`; a record without `id`, a plan without
+    `defines`, an unknown `type`, or a phase, constraint, binding or
+    succedence without a field it needs is a ParseError naming the record."""
+    did = _required(node, "id", at)
+    at = f"description {did}"
     cls = _DESCRIPTION_TYPES.get(node.get("type"))
     if cls is None:
-        raise ParseError(f"description {did}: unknown description type: {node.get('type')!r}")
+        raise ParseError(f"{at}: unknown description type: {node.get('type')!r}")
     defines = node.get("defines")
     if cls is Plan and not defines:
-        raise ParseError(f"description {did}: missing 'defines'")
-    fields = {"id": did, "defines": _ref_from_json(defines) if defines else None}
-    constraints = node.get("constraints", [])
+        raise ParseError(f"{at}: missing 'defines'")
+    fields = {"id": did, "defines": _ref_from_json(f"{at}: defines", defines) if defines else None}
+    constraints = _records(node, "constraints", at)
     if cls is Configuration:
         fields["constraints"] = tuple(
-            StateRelationConstraint(c["relation"], c["left"], c["right"])
+            StateRelationConstraint(
+                *(_required(c, key, c_at) for key in ("relation", "left", "right"))
+            )
             if "relation" in c
             else restriction_from_json(c)
-            for c in constraints
+            for c_at, c in constraints
         )
         return cls(**fields)
-    fields["phases"] = tuple(_ref_from_json(p) for p in node.get("phases", []))
+    fields["phases"] = tuple(_ref_from_json(p_at, p) for p_at, p in _records(node, "phases", at))
     fields["constraints"] = tuple(
-        PhaseConstraint(c["left"], _relation_from_json(c["relation"]), c["right"])
-        for c in constraints
+        PhaseConstraint(
+            _required(c, "left", c_at),
+            _relation_from_json(_required(c, "relation", c_at, object)),
+            _required(c, "right", c_at),
+        )
+        for c_at, c in constraints
     )
     if cls is Plan:
         goal = node.get("goal")
         fields["bindings"] = tuple(
-            Binding(b["id"], frozenset(tuple(s) for s in b["slots"]))
-            for b in node.get("bindings", [])
+            Binding(
+                _required(b, "id", b_at), frozenset(map(tuple, _required(b, "slots", b_at, list)))
+            )
+            for b_at, b in _records(node, "bindings", at)
         )
         fields["succedences"] = tuple(
             ConditionalSuccedence(
-                s["id"],
-                s["earlier"],
-                s["later"],
+                *(_required(s, key, s_at) for key in ("id", "earlier", "later")),
                 restriction_from_json(s["condition"]) if s.get("condition") else None,
             )
-            for s in node.get("succedences", [])
+            for s_at, s in _records(node, "succedences", at)
         )
         fields["goal"] = (
             Goal(
@@ -300,12 +315,12 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
     issues: List[str] = []
 
     pending: Dict[str, Tuple[dict, ConceptKind]] = {}
-    for idx, record in enumerate(_records(doc, "concepts")):
-        cid = _required(record, "id", f"concept {idx}")
+    for at, record in _records(doc, "concepts"):
+        cid = _required(record, "id", at)
         try:
             kind = ConceptKind(record.get("kind"))
         except ValueError:
-            raise ParseError(f"concept {idx}: unknown kind {record.get('kind')!r}") from None
+            raise ParseError(f"{at}: unknown kind {record.get('kind')!r}") from None
         if cid in pending:
             issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
         else:
@@ -337,20 +352,20 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
                 issues.append(f"concept {cid}: unresolved parents {missing}")
             break
 
-    for node in _records(doc, "affordances"):
+    for at, node in _records(doc, "affordances"):
         try:
             store.add_affordance(
                 AffordanceSpec(
-                    concept=node["concept"],
-                    bearer_role=node["bearer"],
-                    trigger_role=node["trigger"],
+                    concept=_required(node, "concept", at),
+                    bearer_role=_required(node, "bearer", at),
+                    trigger_role=_required(node, "trigger", at),
                     background_role=node.get("background"),
                 )
             )
         except (KindMismatch, UnknownId) as exc:
             issues.append(f"affordance {node.get('concept')}: {exc}")
 
-    for node in _records(doc, "designs"):
+    for _, node in _records(doc, "designs"):
         try:
             store.add_design(
                 DesignSpec(
@@ -362,10 +377,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         except (KindMismatch, UnknownId, UnsupportedAspect, ValueError) as exc:
             issues.append(f"design {node.get('concept')}: {exc}")
 
-    descriptions = [
-        _description_from_json(idx, node)
-        for idx, node in enumerate(_records(doc, "descriptions"))
-    ]
+    descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
 
     store.freeze()
     seen_ids = set()

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .activity import Description, EventTypeRef, compile_constraints
+from .activity import Description, EventTypeRef, bind_roles, compile_constraints
 from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene
@@ -200,30 +200,11 @@ def _role_assignments(
             slots.append((phase.id, rid))
             options.append(token.participants)
     results: List[Dict[Tuple[str, str], str]] = []
-    for combo in product(*options) if slots else [()]:
-        grounding = dict(zip(slots, combo))
-        expanded = _expand_bindings(d, grounding)
-        if expanded is None:
-            continue
-        if _roles_admissible(expanded, scene, store):
-            results.append(expanded)
+    for combo in product(*options):
+        closed = bind_roles(d, dict(zip(slots, combo)))
+        if closed is not None and _roles_admissible(closed, scene, store):
+            results.append(closed)
     return results
-
-
-def _expand_bindings(
-    d: Description, grounding: Dict[Tuple[str, str], str]
-) -> Optional[Dict[Tuple[str, str], str]]:
-    """Propagate identity bindings; None when grounded slots disagree."""
-    expanded = dict(grounding)
-    for b in d.bindings:
-        values = {expanded[s] for s in b.slots if s in expanded}
-        if len(values) > 1:
-            return None
-        if values:
-            value = values.pop()
-            for s in b.slots:
-                expanded.setdefault(s, value)
-    return expanded
 
 
 def _roles_admissible(
@@ -330,7 +311,9 @@ def verify_interpretation(
     library: Sequence[Description],
     store: OntologyStore,
 ) -> bool:
-    """Independent straight-line re-check of the parser's four conditions."""
+    """Straight-line re-check through the parser's own predicates: phases in
+    sorted order pass the type and temporal checks, and the role grounding
+    is one `_role_assignments` derives for that phase assignment."""
     by_id = {d.id: d for d in library}
     if interp.plan not in by_id:
         raise DanglingReference(f"unknown plan: {interp.plan}")
@@ -338,41 +321,25 @@ def verify_interpretation(
     if not d.phases:
         raise DanglingReference(f"description {d.id} has no parseable phases")
     tokens = {t.id: t for t in episode.tokens}
-    phase_ids = {p.id for p in d.phases}
+    phases_by_id = {p.id: p for p in d.phases}
     grounding: Dict[str, Token] = {}
     for pid, tid in interp.phase_grounding:
-        if pid not in phase_ids:
+        if pid not in phases_by_id:
             raise DanglingReference(f"unknown phase: {pid}")
         if tid not in tokens:
             raise DanglingReference(f"unknown token: {tid}")
         grounding[pid] = tokens[tid]
-    if set(grounding) != phase_ids:
+    if set(grounding) != set(phases_by_id):
         return False
     if len({t.id for t in grounding.values()}) != len(grounding):
         return False  # not injective
-    phases_by_id = {p.id: p for p in d.phases}
-    # (a) type match
-    for pid, token in grounding.items():
+    net = compile_constraints(d)
+    assigned: Dict[str, Token] = {}
+    for pid in sorted(grounding):
+        token = grounding[pid]
         if not _type_matches(token, phases_by_id[pid].concept, store):
             return False
-    # (b) pairwise temporal labels
-    net = compile_constraints(d)
-    ordered = sorted(grounding)
-    for i, pid in enumerate(ordered):
-        for qid in ordered[i + 1:]:
-            try:
-                rel = relation_from_endpoints(
-                    grounding[pid].interval, grounding[qid].interval, episode.eps
-                )
-            except DegenerateInterval:
-                return False
-            if rel not in net.query_relation(pid, qid):
-                return False
-    # (c) bindings hold
-    roles = dict(interp.role_grounding)
-    for b in d.bindings:
-        grounded = {roles[s] for s in b.slots if s in roles}
-        if len(grounded) > 1:
+        if not _temporally_admissible(pid, token, assigned, net, episode.eps):
             return False
-    # (d) selectional restrictions
-    return _roles_admissible(roles, episode.scene, store)
+        assigned[pid] = token
+    return dict(interp.role_grounding) in _role_assignments(d, assigned, episode.scene, store)

@@ -11,7 +11,8 @@ the library's composition table, propagation, or parser search:
 - restriction evaluation is re-coded as a flat scan;
 - parsing is re-coded as exhaustive enumeration over injective assignments,
   with its own type match: a scan of every concept by name and a DFS over
-  parent edges, never the store's name index or ancestor closure;
+  parent edges, never the store's name index or ancestor closure; bindings
+  close by copying entities slot to slot until nothing changes;
 - tokenization is the per-event definition: every state event is checked
   against every other event for a conflicting state.
 """
@@ -294,16 +295,20 @@ def _all_role_groundings(d, phases, mapping, episode, store):
             options.append(mapping[p.id].participants)
     for combo in product(*options) if slots else [()]:
         grounding = dict(zip(slots, combo))
-        ok = True
-        for b in d.bindings:
-            seen = {grounding[s] for s in b.slots if s in grounding}
-            if len(seen) > 1:
-                ok = False
-                break
-            if seen:
-                v = seen.pop()
-                for s in b.slots:
-                    grounding.setdefault(s, v)
+        # Identity is transitive: copy entities between the slots of each
+        # binding, pair by pair, until a sweep changes nothing.
+        ok, changed = True, True
+        while ok and changed:
+            changed = False
+            for b in d.bindings:
+                for s, t in permutations(b.slots, 2):
+                    if s not in grounding:
+                        continue
+                    if t not in grounding:
+                        grounding[t] = grounding[s]
+                        changed = True
+                    elif grounding[t] != grounding[s]:
+                        ok = False
         if not ok:
             continue
         admissible = True

@@ -227,6 +227,55 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _set(node, key, value):
+    node[key] = value
+
+
+# defect -> (edit of the seed library document, message on stderr)
+MALFORMED_RECORDS = {
+    "unknown-kind": (
+        lambda doc: _set(doc["concepts"][3], "kind", "gadget"),
+        "concept 3: unknown kind 'gadget'",
+    ),
+    "concept-without-id": (
+        lambda doc: doc["concepts"][3].pop("id"),
+        "concept 3: missing 'id'",
+    ),
+    "description-without-id": (
+        lambda doc: doc["descriptions"][1].pop("id"),
+        "description 1: missing 'id'",
+    ),
+    "concepts-not-a-list": (
+        lambda doc: _set(doc, "concepts", "x"),
+        "concepts: expected a list, got str",
+    ),
+    "plan-without-defines": (
+        lambda doc: doc["descriptions"][0].pop("defines"),
+        "description PouringPlan: missing 'defines'",
+    ),
+    "phase-without-concept": (
+        lambda doc: doc["descriptions"][0]["phases"][0].pop("concept"),
+        "description PouringPlan: phase 0: missing 'concept'",
+    ),
+    "constraint-without-left": (
+        lambda doc: doc["descriptions"][0]["constraints"][0].pop("left"),
+        "description PouringPlan: constraint 0: missing 'left'",
+    ),
+    "phase-not-an-object": (
+        lambda doc: _set(doc["descriptions"][0], "phases", [1]),
+        "description PouringPlan: phase 0: expected an object, got 1",
+    ),
+    "concept-id-not-a-string": (
+        lambda doc: _set(doc["concepts"][0], "id", [1]),
+        "concept 0: id: expected a str, got [1]",
+    ),
+    "affordance-without-bearer": (
+        lambda doc: _set(doc, "affordances", [{"concept": "x"}]),
+        "affordance 0: missing 'bearer'",
+    ),
+}
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         code, out, _ = run_cli(capsys, "validate", str(SEED_LIBRARY))
@@ -333,35 +382,11 @@ class TestCli:
         assert out == ""
         assert issue in err
 
-    @pytest.mark.parametrize(
-        "defect",
-        [
-            "unknown-kind",
-            "concept-without-id",
-            "description-without-id",
-            "concepts-not-a-list",
-            "plan-without-defines",
-        ],
-    )
+    @pytest.mark.parametrize("defect", list(MALFORMED_RECORDS))
     def test_malformed_library_record_exit_2(self, capsys, tmp_path, defect):
         doc = json.loads(SEED_LIBRARY.read_text())
-        if defect == "unknown-kind":
-            doc["concepts"][3]["kind"] = "gadget"
-        elif defect == "concept-without-id":
-            del doc["concepts"][3]["id"]
-        elif defect == "description-without-id":
-            del doc["descriptions"][1]["id"]
-        elif defect == "concepts-not-a-list":
-            doc["concepts"] = "x"
-        else:
-            del doc["descriptions"][0]["defines"]
-        message = {
-            "unknown-kind": "concept 3: unknown kind 'gadget'",
-            "concept-without-id": "concept 3: missing 'id'",
-            "description-without-id": "description 1: missing 'id'",
-            "concepts-not-a-list": "concepts: expected a list, got str",
-            "plan-without-defines": "description PouringPlan: missing 'defines'",
-        }[defect]
+        edit, message = MALFORMED_RECORDS[defect]
+        edit(doc)
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "validate", str(path))

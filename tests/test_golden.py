@@ -3,7 +3,8 @@
 Each golden file holds the exact stdout of one command; a changed report
 format, ranking or propagation order shows up here as a diff. To regenerate
 after an intended output change, write `run_cli(...)[1]` of each case to
-`tests/golden/<name>.out`. `tokens_state_episode.out` pins state splitting
+`tests/golden/<name>.out`; the four `force_*` files pin the outcome of each
+tendency/stronger pair. `tokens_state_episode.out` pins state splitting
 the same way: one `id start end type_tag` line per token of a seeded episode.
 `all_descriptions_library.json` holds one description of each type (a plan
 with a goal, a binding and a conditional succedence, a configuration, and
@@ -49,6 +50,10 @@ CASES = {
     "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),
     "query_configuration": (("query", ALL, "FilledConfiguration", "Filled", "Filled_0"), 2),
     "select_mixing_phase": (("select", ALL, POUR, "Tilting_1"), 0),
+    "force_motion_agonist": (("force", "--tendency", "motion", "--stronger", "agonist"), 0),
+    "force_motion_antagonist": (("force", "--tendency", "motion", "--stronger", "antagonist"), 0),
+    "force_rest_agonist": (("force", "--tendency", "rest", "--stronger", "agonist"), 0),
+    "force_rest_antagonist": (("force", "--tendency", "rest", "--stronger", "antagonist"), 0),
 }
 
 

@@ -1,20 +1,43 @@
+import dataclasses
 import random
+from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from soma_kit import (
+    Binding,
+    ConceptKind,
+    ConcreteInterval,
+    Entity,
+    EntityKind,
+    Episode,
+    EventTypeRef,
     Interpretation,
+    OntologyStore,
+    PhaseConstraint,
+    Plan,
     RawEvent,
+    Scene,
+    Token,
     TokenClass,
     parse,
     rank,
     tokenize,
     verify_interpretation,
 )
+from soma_kit.activity import RELATION_VOCABULARY, validate_description
 from soma_kit.errors import DanglingReference, DegenerateInterval, NegativeDuration
 
-from generators import build_generator_store, random_case, random_episode, random_plan
+from generators import (
+    MOTIONS,
+    RELATION_NAMES,
+    ROLES,
+    build_generator_store,
+    random_case,
+    random_episode,
+    random_plan,
+)
 from oracles import parse_oracle, tokenize_oracle
 
 
@@ -198,6 +221,79 @@ class TestParseOracle:
                 assert verify_interpretation(i, episode, library, store)
 
 
+@st.composite
+def bound_plans(draw):
+    """Validation-clean plans with 1-3 bindings of 2-3 slots each. The
+    defined task always uses roles, so bindings often chain through its
+    slots, which no token grounds directly."""
+    store = build_generator_store()
+    roles = st.lists(st.sampled_from(ROLES), max_size=2, unique=True).map(tuple)
+    task_roles = tuple(draw(st.permutations(ROLES)))[: draw(st.integers(1, 3))]
+    defines = EventTypeRef("task0", "GenericTask", uses_roles=task_roles)
+    phases = tuple(
+        EventTypeRef(f"ph{i}", draw(st.sampled_from(MOTIONS + ("Motion",))), draw(roles))
+        for i in range(draw(st.integers(1, 3)))
+    )
+    slots = [(ref.id, rid) for ref in (defines,) + phases for rid in ref.uses_roles]
+    assume(len(slots) >= 2)
+    bound = st.lists(st.sampled_from(slots), min_size=2, max_size=3, unique=True)
+    bindings = tuple(
+        Binding(f"b{k}", frozenset(group))
+        for k, group in enumerate(draw(st.lists(bound, min_size=1, max_size=3)))
+    )
+    constraints = tuple(
+        PhaseConstraint(p.id, RELATION_VOCABULARY[draw(st.sampled_from(RELATION_NAMES))], q.id)
+        for i, p in enumerate(phases)
+        for q in phases[i + 1:]
+        if draw(st.booleans())
+    )
+    plan = Plan("BoundPlan", defines, phases, constraints, bindings)
+    assume(not validate_description(plan, store))
+    return plan
+
+
+class TestBindingClosure:
+    def test_chain_through_defined_task_closes_in_either_order(self):
+        # b1 binds two task slots that no token grounds; only b2 reaches a
+        # phase slot, so (task, R) is grounded only if the chain closes.
+        store = OntologyStore()
+        store.add_concept("Motion", ConceptKind.PROCESS_TYPE, concept_id="Motion")
+        store.add_concept("Task", ConceptKind.TASK, concept_id="Task")
+        for role in ("R", "S"):
+            store.add_concept(role, ConceptKind.ROLE, concept_id=role)
+        store.freeze()
+        b1 = Binding("b1", frozenset({("task", "R"), ("task", "S")}))
+        b2 = Binding("b2", frozenset({("task", "S"), ("p1", "R")}))
+        plan = Plan(
+            "P",
+            EventTypeRef("task", "Task", uses_roles=("R", "S")),
+            (EventTypeRef("p1", "Motion", uses_roles=("R",)),),
+            bindings=(b1, b2),
+        )
+        assert validate_description(plan, store) == []
+        token = Token("t0", TokenClass.MOTION_EVENT, "Motion", ("a",), ConcreteInterval(0.0, 1.0))
+        scene = Scene({"a": Entity("a", "a", EntityKind.OBJECT, "Thing")})
+        episode = Episode("e", (token,), scene)
+        forward = parse(episode, [plan], store)
+        backward = parse(episode, [dataclasses.replace(plan, bindings=(b2, b1))], store)
+        assert forward == backward
+        assert [i.role_grounding for i in forward] == [
+            ((("p1", "R"), "a"), (("task", "R"), "a"), (("task", "S"), "a"))
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_plans(), st.integers(0, 2**32 - 1))
+    def test_order_free_oracle_equal_and_verified(self, plan, seed):
+        store = build_generator_store()
+        episode = random_episode(random.Random(seed), max_tokens=6)
+        got = parse(episode, [plan], store)
+        for order in permutations(plan.bindings):
+            assert parse(episode, [dataclasses.replace(plan, bindings=order)], store) == got
+        assert {interp_key(i) for i in got} == parse_oracle(episode, [plan], store)
+        for i in got:
+            assert verify_interpretation(i, episode, [plan], store)
+
+
 class TestRank:
     def mk(self, plan, coverage, phases, start):
         return Interpretation(
@@ -273,6 +369,19 @@ class TestVerify:
             earliest_start=interp.earliest_start,
         )
         assert not verify_interpretation(bad, pouring_episode, library, store)
+
+    def test_entity_outside_its_token_fails(self, seed, pouring_episode):
+        # t0, the Approaching token, has bowl as its only participant.
+        store, library = seed
+        (interp,) = parse(pouring_episode, library, store)
+        moved = dataclasses.replace(
+            interp,
+            role_grounding=tuple(
+                (slot, "pot" if slot == ("Approaching_0", "Destination") else entity)
+                for slot, entity in interp.role_grounding
+            ),
+        )
+        assert not verify_interpretation(moved, pouring_episode, library, store)
 
     def test_dangling_plan(self, seed, pouring_episode):
         store, library = seed
