@@ -6,8 +6,9 @@ serializer used for round-trip checks.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
 from .activity import (
     Binding,
@@ -79,10 +80,15 @@ def _check_version(doc: dict, path) -> None:
         raise VersionMismatch(f"{path}: expected {FORMAT_VERSION!r}, got {version!r}")
 
 
-def _records(node: dict, key: str, where: str = "") -> List[Tuple[str, dict]]:
-    """The objects under `key` (none when absent), each after its name for
-    messages (`concept 3`, `description P: phase 0`); anything but a list of
-    objects is a ParseError naming the key or the record."""
+def _records(
+    node: dict, key: str, where: str = "", required: bool = False
+) -> List[Tuple[str, dict]]:
+    """The objects under `key` (none when absent, unless `required`), each
+    after its name for messages (`concept 3`, `description P: phase 0`);
+    anything but a list of objects is a ParseError naming the key or the
+    record."""
+    if required:
+        _require_key(node, key, where)
     records = node.get(key, [])
     prefix = f"{where}: " if where else ""
     if not isinstance(records, list):
@@ -94,34 +100,63 @@ def _records(node: dict, key: str, where: str = "") -> List[Tuple[str, dict]]:
     return named
 
 
+def _require_key(node: dict, key: str, where: str) -> None:
+    if key not in node:
+        raise ParseError(f"{where}: missing {key!r}")
+
+
 def _required(node: dict, key: str, where: str, kind: type = str):
     """`node[key]`; a missing key or a value that is not a `kind` is a
     ParseError naming `where`."""
-    if key not in node:
-        raise ParseError(f"{where}: missing {key!r}")
+    _require_key(node, key, where)
     if not isinstance(node[key], kind):
         raise ParseError(f"{where}: {key}: expected a {kind.__name__}, got {node[key]!r}")
     return node[key]
 
 
+def _strings(node: dict, key: str, where: str, required: bool = False) -> Tuple[str, ...]:
+    """`node[key]` as a tuple, empty when absent (unless `required`); a value
+    that is not a list of strings is a ParseError naming `where`."""
+    if required:
+        _require_key(node, key, where)
+    value = node.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{where}: {key}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 # --- restrictions --------------------------------------------------------------
 
 
-def restriction_from_json(node: dict) -> Restriction:
+def restriction_from_json(node: dict, at: str = "restriction") -> Restriction:
+    """Restriction of a JSON object; an unknown op, or a field it needs that
+    is missing or mistyped, is a ParseError naming `at`."""
+    if not isinstance(node, dict):
+        raise ParseError(f"{at}: expected an object, got {node!r}")
     op = node.get("op")
     if op == "kind_is":
-        return KindIs(EntityKind(node["kind"]))
+        kind = _required(node, "kind", at)
+        try:
+            return KindIs(EntityKind(kind))
+        except ValueError:
+            raise ParseError(f"{at}: unknown entity kind {kind!r}") from None
     if op == "type_tag_in":
-        return TypeTagIn(frozenset(node["tags"]))
+        return TypeTagIn(frozenset(_strings(node, "tags", at, required=True)))
     if op == "has_disposition":
-        return HasDisposition(node["disposition"])
+        return HasDisposition(_required(node, "disposition", at))
     if op == "region_within":
-        return RegionWithin(float(node["lo"]), float(node["hi"]), node["units"])
-    if op == "and":
-        return And(tuple(restriction_from_json(i) for i in node["items"]))
-    if op == "or":
-        return Or(tuple(restriction_from_json(i) for i in node["items"]))
-    raise ParseError(f"unknown restriction op: {op!r}")
+        return RegionWithin(
+            float(_required(node, "lo", at, Real)),
+            float(_required(node, "hi", at, Real)),
+            _required(node, "units", at),
+        )
+    if op in ("and", "or"):
+        items = _records(node, "items", at, required=True)
+        if not items:
+            raise ParseError(f"{at}: items: expected at least one restriction")
+        items = tuple(restriction_from_json(i, i_at) for i_at, i in items)
+        return And(items) if op == "and" else Or(items)
+    raise ParseError(f"{at}: unknown restriction op: {op!r}")
 
 
 def restriction_to_json(r: Restriction) -> dict:
@@ -168,8 +203,8 @@ def _ref_from_json(at: str, node: dict) -> EventTypeRef:
     return EventTypeRef(
         id=_required(node, "id", at),
         concept=_required(node, "concept", at),
-        uses_roles=tuple(node.get("roles", [])),
-        uses_parameters=tuple(node.get("parameters", [])),
+        uses_roles=_strings(node, "roles", at),
+        uses_parameters=_strings(node, "parameters", at),
     )
 
 
@@ -199,7 +234,9 @@ def _description_from_json(at: str, node: dict) -> Description:
     defines = node.get("defines")
     if cls is Plan and not defines:
         raise ParseError(f"{at}: missing 'defines'")
-    fields = {"id": did, "defines": _ref_from_json(f"{at}: defines", defines) if defines else None}
+    if defines:
+        defines = _ref_from_json(f"{at}: defines", _required(node, "defines", at, dict))
+    fields = {"id": did, "defines": defines or None}
     constraints = _records(node, "constraints", at)
     if cls is Configuration:
         fields["constraints"] = tuple(
@@ -207,7 +244,7 @@ def _description_from_json(at: str, node: dict) -> Description:
                 *(_required(c, key, c_at) for key in ("relation", "left", "right"))
             )
             if "relation" in c
-            else restriction_from_json(c)
+            else restriction_from_json(c, c_at)
             for c_at, c in constraints
         )
         return cls(**fields)
@@ -221,29 +258,42 @@ def _description_from_json(at: str, node: dict) -> Description:
         for c_at, c in constraints
     )
     if cls is Plan:
-        goal = node.get("goal")
         fields["bindings"] = tuple(
-            Binding(
-                _required(b, "id", b_at), frozenset(map(tuple, _required(b, "slots", b_at, list)))
-            )
+            Binding(_required(b, "id", b_at), _binding_slots(b, b_at))
             for b_at, b in _records(node, "bindings", at)
         )
         fields["succedences"] = tuple(
             ConditionalSuccedence(
                 *(_required(s, key, s_at) for key in ("id", "earlier", "later")),
-                restriction_from_json(s["condition"]) if s.get("condition") else None,
+                restriction_from_json(s["condition"], f"{s_at}: condition")
+                if s.get("condition")
+                else None,
             )
             for s_at, s in _records(node, "succedences", at)
         )
-        fields["goal"] = (
-            Goal(
-                goal["id"],
-                tuple((g["state"], tuple(g.get("roles", []))) for g in goal["desired"]),
-            )
-            if goal
-            else None
-        )
+        fields["goal"] = _goal_from_json(node, at) if node.get("goal") else None
     return cls(**fields)
+
+
+def _binding_slots(node: dict, at: str) -> FrozenSet[Tuple[str, str]]:
+    slots = _required(node, "slots", at, list)
+    for slot in slots:
+        pair = isinstance(slot, list) and len(slot) == 2
+        if not (pair and all(isinstance(x, str) for x in slot)):
+            raise ParseError(f"{at}: slots: expected [slot id, role id] pairs, got {slot!r}")
+    return frozenset(map(tuple, slots))
+
+
+def _goal_from_json(node: dict, at: str) -> Goal:
+    goal = _required(node, "goal", at, dict)
+    at = f"{at}: goal"
+    return Goal(
+        _required(goal, "id", at),
+        tuple(
+            (_required(g, "state", g_at), _strings(g, "roles", g_at))
+            for g_at, g in _records(goal, "desired", at, required=True)
+        ),
+    )
 
 
 def _description_to_json(d: Description) -> dict:
@@ -314,7 +364,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
     store = OntologyStore()
     issues: List[str] = []
 
-    pending: Dict[str, Tuple[dict, ConceptKind]] = {}
+    pending: Dict[str, Tuple[str, dict, ConceptKind, Tuple[str, ...]]] = {}
     for at, record in _records(doc, "concepts"):
         cid = _required(record, "id", at)
         try:
@@ -324,12 +374,11 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         if cid in pending:
             issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
         else:
-            pending[cid] = record, kind
+            pending[cid] = at, record, kind, _strings(record, "parents", at)
     while pending:
         progressed = False
         for cid in list(pending):
-            record, kind = pending[cid]
-            parents = record.get("parents", [])
+            at, record, kind, parents = pending[cid]
             if all(store.has_concept(p) for p in parents):
                 restriction = record.get("restriction")
                 try:
@@ -337,7 +386,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
                         name=record.get("name", cid),
                         kind=kind,
                         parents=parents,
-                        restriction=restriction_from_json(restriction)
+                        restriction=restriction_from_json(restriction, f"{at}: restriction")
                         if restriction
                         else None,
                         concept_id=cid,
@@ -347,8 +396,8 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
                 del pending[cid]
                 progressed = True
         if not progressed:
-            for cid, (record, _) in sorted(pending.items()):
-                missing = [p for p in record.get("parents", []) if not store.has_concept(p)]
+            for cid, (_, _, _, parents) in sorted(pending.items()):
+                missing = [p for p in parents if not store.has_concept(p)]
                 issues.append(f"concept {cid}: unresolved parents {missing}")
             break
 
@@ -365,17 +414,22 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
         except (KindMismatch, UnknownId) as exc:
             issues.append(f"affordance {node.get('concept')}: {exc}")
 
-    for _, node in _records(doc, "designs"):
+    for at, node in _records(doc, "designs"):
+        concept = _required(node, "concept", at)
+        aspect = _required(node, "aspect", at)
+        restriction = restriction_from_json(
+            _required(node, "restriction", at, object), f"{at}: restriction"
+        )
         try:
             store.add_design(
                 DesignSpec(
-                    concept=node["concept"],
-                    aspect=DesignAspect(node["aspect"]),
-                    quality_restriction=restriction_from_json(node["restriction"]),
+                    concept=concept,
+                    aspect=DesignAspect(aspect),
+                    quality_restriction=restriction,
                 )
             )
         except (KindMismatch, UnknownId, UnsupportedAspect, ValueError) as exc:
-            issues.append(f"design {node.get('concept')}: {exc}")
+            issues.append(f"design {concept}: {exc}")
 
     descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
 

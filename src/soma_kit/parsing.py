@@ -10,13 +10,14 @@ exhaustive enumeration of injective phase-to-token assignments.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .activity import Description, EventTypeRef, bind_roles, compile_constraints
-from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
+from .activity import Description, bind_roles, compile_constraints
+from .allen import ConcreteInterval, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene
 from .ontology import (
@@ -175,13 +176,52 @@ def _state_segments(ev: RawEvent, cuts: Sequence[_Cut]) -> List[Tuple[float, flo
     return segments
 
 
-def _type_matches(token: Token, phase_concept: str, store: OntologyStore) -> bool:
+def _type_matches(type_tag: str, phase_concept: str, store: OntologyStore) -> bool:
     """Subsumption-aware match of a token's ground type tag against the
     phase's event-type concept."""
-    for c in store.concepts_named(token.type_tag):
+    for c in store.concepts_named(type_tag):
         if c.kind in EVENT_CONCEPT_KINDS and store.is_subsumed_by(c.id, phase_concept):
             return True
     return False
+
+
+_Masks = Tuple[Tuple[int, ...], ...]
+
+#: Phase label tables by description value, dropped with the description.
+_MASKS: "weakref.WeakKeyDictionary[Description, _Masks]" = weakref.WeakKeyDictionary()
+
+
+def _phase_masks(d: Description) -> _Masks:
+    """`masks[j][k]`: the propagated label from phase j to phase k, as a
+    13-bit mask, in phase order. Path consistency depends on the plan alone,
+    so it runs once per distinct description value; an inconsistent one is
+    never stored and raises TemporallyInconsistent on every call."""
+    masks = _MASKS.get(d)
+    if masks is None:
+        net = compile_constraints(d)
+        ids = [p.id for p in d.phases]
+        masks = tuple(tuple(net.query_relation(a, b).mask for b in ids) for a in ids)
+        _MASKS[d] = masks
+    return masks
+
+
+def _relation_bits(tokens: Sequence[Token], eps: float) -> Callable[[int, int], int]:
+    """Bit of the observed relation between two tokens, by episode position,
+    memoized for one call; 0 when either collapses under eps, since widened
+    point tokens cannot anchor temporal labels."""
+    memo: Dict[Tuple[int, int], int] = {}
+
+    def bit(a: int, b: int) -> int:
+        hit = memo.get((a, b))
+        if hit is None:
+            try:
+                hit = relation_from_endpoints(tokens[a].interval, tokens[b].interval, eps).bit
+            except DegenerateInterval:
+                hit = 0
+            memo[a, b] = hit
+        return hit
+
+    return bit
 
 
 def _role_assignments(
@@ -225,59 +265,72 @@ def parse(
 ) -> List[Interpretation]:
     """Every interpretation of the episode under the plan library, ranked."""
     found: List[Interpretation] = []
+    tokens = episode.tokens
+    bit = _relation_bits(tokens, episode.eps)
+    by_tag: Dict[str, List[int]] = {}
+    for pos, t in enumerate(tokens):
+        by_tag.setdefault(t.type_tag, []).append(pos)
+    # Each (type tag, phase concept) pair is matched once per call, never
+    # across calls: the store may be unfrozen and change between them.
+    candidates: Dict[str, List[int]] = {}
     for d in library:
         if not d.phases:
             continue
-        net = compile_constraints(d)
-        candidates = [
-            [t for t in episode.tokens if _type_matches(t, p.concept, store)]
-            for p in d.phases
-        ]
-        _search(d, list(d.phases), candidates, {}, episode, net, store, found)
+        masks = _phase_masks(d)
+        for p in d.phases:
+            if p.concept not in candidates:
+                candidates[p.concept] = sorted(
+                    pos
+                    for tag, group in by_tag.items()
+                    if _type_matches(tag, p.concept, store)
+                    for pos in group
+                )
+        phase_candidates = [candidates[p.concept] for p in d.phases]
+        _search(d, masks, phase_candidates, [], set(), episode, bit, store, found)
     return rank(found)
 
 
 def _search(
     d: Description,
-    phases: List[EventTypeRef],
-    candidates: List[List[Token]],
-    assigned: Dict[str, Token],
+    masks: _Masks,
+    candidates: List[List[int]],
+    assigned: List[Tuple[int, int]],
+    used: Set[int],
     episode: Episode,
-    net: ConstraintNetwork,
+    bit: Callable[[int, int], int],
     store: OntologyStore,
     out: List[Interpretation],
 ) -> None:
-    """Extend `assigned` phase by phase; `candidates[i]` holds the tokens,
-    in episode order, whose type matches phase i."""
-    if len(assigned) == len(phases):
-        for roles in _role_assignments(d, assigned, episode.scene, store):
-            out.append(_make_interpretation(d, assigned, roles, episode))
+    """Extend `assigned`, (phase index, token position) pairs, phase by
+    phase; `candidates[k]` holds the positions, in episode order, of the
+    tokens whose type matches phase k."""
+    k = len(assigned)
+    if k == len(d.phases):
+        grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in assigned}
+        for roles in _role_assignments(d, grounding, episode.scene, store):
+            out.append(_make_interpretation(d, grounding, roles, episode))
         return
-    phase = phases[len(assigned)]
-    used = {t.id for t in assigned.values()}
-    for token in candidates[len(assigned)]:
-        if token.id in used:
+    for pos in candidates[k]:
+        if pos in used or not _temporally_admissible(masks, k, pos, assigned, bit):
             continue
-        if not _temporally_admissible(phase.id, token, assigned, net, episode.eps):
-            continue
-        assigned[phase.id] = token
-        _search(d, phases, candidates, assigned, episode, net, store, out)
-        del assigned[phase.id]
+        assigned.append((k, pos))
+        used.add(pos)
+        _search(d, masks, candidates, assigned, used, episode, bit, store, out)
+        used.discard(pos)
+        assigned.pop()
 
 
 def _temporally_admissible(
-    phase_id: str,
-    token: Token,
-    assigned: Dict[str, Token],
-    net: ConstraintNetwork,
-    eps: float,
+    masks: _Masks,
+    k: int,
+    pos: int,
+    assigned: Sequence[Tuple[int, int]],
+    bit: Callable[[int, int], int],
 ) -> bool:
-    for other_id, other_token in assigned.items():
-        try:
-            rel = relation_from_endpoints(other_token.interval, token.interval, eps)
-        except DegenerateInterval:
-            return False  # widened point tokens cannot anchor temporal labels
-        if rel not in net.query_relation(other_id, phase_id):
+    """Token `pos` may fill phase k iff, for every assigned (phase j, token),
+    the observed relation's bit lies in the propagated label from j to k."""
+    for j, other in assigned:
+        if not masks[j][k] & bit(other, pos):
             return False
     return True
 
@@ -320,26 +373,28 @@ def verify_interpretation(
     d = by_id[interp.plan]
     if not d.phases:
         raise DanglingReference(f"description {d.id} has no parseable phases")
-    tokens = {t.id: t for t in episode.tokens}
-    phases_by_id = {p.id: p for p in d.phases}
-    grounding: Dict[str, Token] = {}
+    index = {p.id: k for k, p in enumerate(d.phases)}
+    positions = {t.id: pos for pos, t in enumerate(episode.tokens)}
+    grounding: Dict[str, int] = {}  # phase id -> token position
     for pid, tid in interp.phase_grounding:
-        if pid not in phases_by_id:
+        if pid not in index:
             raise DanglingReference(f"unknown phase: {pid}")
-        if tid not in tokens:
+        if tid not in positions:
             raise DanglingReference(f"unknown token: {tid}")
-        grounding[pid] = tokens[tid]
-    if set(grounding) != set(phases_by_id):
+        grounding[pid] = positions[tid]
+    if set(grounding) != set(index):
         return False
-    if len({t.id for t in grounding.values()}) != len(grounding):
+    if len(set(grounding.values())) != len(grounding):
         return False  # not injective
-    net = compile_constraints(d)
-    assigned: Dict[str, Token] = {}
+    masks = _phase_masks(d)
+    bit = _relation_bits(episode.tokens, episode.eps)
+    assigned: List[Tuple[int, int]] = []
     for pid in sorted(grounding):
-        token = grounding[pid]
-        if not _type_matches(token, phases_by_id[pid].concept, store):
+        k, pos = index[pid], grounding[pid]
+        if not _type_matches(episode.tokens[pos].type_tag, d.phases[k].concept, store):
             return False
-        if not _temporally_admissible(pid, token, assigned, net, episode.eps):
+        if not _temporally_admissible(masks, k, pos, assigned, bit):
             return False
-        assigned[pid] = token
-    return dict(interp.role_grounding) in _role_assignments(d, assigned, episode.scene, store)
+        assigned.append((k, pos))
+    tokens = {pid: episode.tokens[pos] for pid, pos in grounding.items()}
+    return dict(interp.role_grounding) in _role_assignments(d, tokens, episode.scene, store)

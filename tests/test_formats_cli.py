@@ -273,6 +273,34 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc, "affordances", [{"concept": "x"}]),
         "affordance 0: missing 'bearer'",
     ),
+    "goal-without-desired": (
+        lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g"}),
+        "description PouringPlan: goal: missing 'desired'",
+    ),
+    "design-without-aspect": (
+        lambda doc: doc["designs"][0].pop("aspect"),
+        "design 0: missing 'aspect'",
+    ),
+    "kind-is-without-kind": (
+        lambda doc: _set(doc["concepts"][6], "restriction", {"op": "kind_is"}),
+        "concept 6: restriction: missing 'kind'",
+    ),
+    "defines-not-an-object": (
+        lambda doc: _set(doc["descriptions"][0], "defines", 1),
+        "description PouringPlan: defines: expected a dict, got 1",
+    ),
+    "binding-slots-not-pairs": (
+        lambda doc: _set(doc["descriptions"][0]["bindings"][0], "slots", [1, 2]),
+        "description PouringPlan: binding 0: slots: expected [slot id, role id] pairs, got 1",
+    ),
+    "phase-roles-not-a-list": (
+        lambda doc: _set(doc["descriptions"][0]["phases"][0], "roles", "Destination"),
+        "description PouringPlan: phase 0: roles: expected a list of strings, got 'Destination'",
+    ),
+    "concept-parents-not-a-list": (
+        lambda doc: _set(doc["concepts"][1], "parents", "x"),
+        "concept 1: parents: expected a list of strings, got 'x'",
+    ),
 }
 
 

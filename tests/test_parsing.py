@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import math
 import random
+import weakref
 from itertools import permutations
 
 import pytest
@@ -26,8 +29,15 @@ from soma_kit import (
     tokenize,
     verify_interpretation,
 )
+from soma_kit import parsing
 from soma_kit.activity import RELATION_VOCABULARY, validate_description
-from soma_kit.errors import DanglingReference, DegenerateInterval, NegativeDuration
+from soma_kit.allen import RelationSet, relation_from_endpoints
+from soma_kit.errors import (
+    DanglingReference,
+    DegenerateInterval,
+    NegativeDuration,
+    TemporallyInconsistent,
+)
 
 from generators import (
     MOTIONS,
@@ -37,6 +47,7 @@ from generators import (
     random_case,
     random_episode,
     random_plan,
+    random_scene,
 )
 from oracles import parse_oracle, tokenize_oracle
 
@@ -220,6 +231,172 @@ class TestParseOracle:
             for i in parse(episode, library, store):
                 assert verify_interpretation(i, episode, library, store)
 
+
+def two_reach_case():
+    """A store, and an episode of two disjoint Reach tokens over one object."""
+    scene = Scene({"a": Entity("a", "a", EntityKind.OBJECT, "Thing")})
+    tokens = tuple(
+        Token(f"t{i}", TokenClass.MOTION_EVENT, "Reach", ("a",), ConcreteInterval(s, s + 1.0))
+        for i, s in enumerate((0.0, 2.0))
+    )
+    return build_generator_store(), Episode("e", tokens, scene)
+
+
+def chain_plan(plan_id, *relations):
+    """Plan of Reach phases ph0..phN, each related to the next by one named
+    relation."""
+    return Plan(
+        plan_id,
+        EventTypeRef("task0", "GenericTask"),
+        tuple(EventTypeRef(f"ph{i}", "Reach") for i in range(len(relations) + 1)),
+        tuple(
+            PhaseConstraint(f"ph{i}", RELATION_VOCABULARY[r], f"ph{i + 1}")
+            for i, r in enumerate(relations)
+        ),
+    )
+
+
+class TestCompileOnce:
+    """`parse` reads each description's label table from a memo keyed by
+    the description's value."""
+
+    def test_same_id_different_constraints_each_match_oracle(self):
+        store, episode = two_reach_case()
+        before, after = chain_plan("Same", "before"), chain_plan("Same", "after")
+        results = []
+        for plan in (before, after, before):
+            got = {interp_key(i) for i in parse(episode, [plan], store)}
+            assert got == parse_oracle(episode, [plan], store)
+            results.append(got)
+        assert results[0] != results[1]
+
+    def test_repeat_and_dict_copy_parse_alike(self, seed, ambiguous_episode):
+        store, library = seed
+        first = parse(ambiguous_episode, library, store)
+        assert first
+        assert parse(ambiguous_episode, library, store) == first
+        copies = [d.__class__(**d.__dict__) for d in library]
+        assert parse(ambiguous_episode, copies, store) == first
+
+    def test_memo_does_not_keep_descriptions_alive(self):
+        store, episode = two_reach_case()
+        plan = chain_plan("Transient", "before")
+        assert parse(episode, [plan], store)
+        ref = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert ref() is None
+
+    def test_inconsistent_plan_raises_on_every_call(self):
+        store, episode = two_reach_case()
+        chain = chain_plan("Cycle", "before", "before")
+        back = PhaseConstraint("ph2", RELATION_VOCABULARY["before"], "ph0")
+        cycle = dataclasses.replace(chain, constraints=chain.constraints + (back,))
+        for _ in range(3):
+            with pytest.raises(TemporallyInconsistent):
+                parse(episode, [cycle], store)
+
+    def test_compiles_once_per_distinct_description(self, monkeypatch):
+        store, episode = two_reach_case()
+        compiled = []
+        compile_constraints = parsing.compile_constraints
+
+        def counted(d):
+            compiled.append(d.id)
+            return compile_constraints(d)
+
+        monkeypatch.setattr(parsing, "compile_constraints", counted)
+        plan = chain_plan("CountedOnce", "before")
+        twin = dataclasses.replace(plan)  # equal value, another object
+        for _ in range(3):
+            for interp in parse(episode, [plan, twin], store):
+                assert verify_interpretation(interp, episode, [twin], store)
+        assert compiled == ["CountedOnce"]
+
+
+# The oracle enumerates every injective phase-to-token map, so a plan gets
+# at most as many phases as keep that count under this budget.
+ORACLE_MAPS = 12_000
+# Two motions, their parent and a tag no concept names: few enough that
+# multi-phase plans often match.
+WIDE_CONCEPTS = ("Reach", "Lift", "Motion")
+WIDE_TAGS = ("Reach", "Lift", "Noise")
+
+
+@st.composite
+def realizable_plans(draw, plan_id, max_phases):
+    """Validation-clean plans of 1 to `max_phases` phases whose labels,
+    convex or not, all hold of one witness interval per phase, so every plan
+    is consistent."""
+    roles = st.lists(st.sampled_from(ROLES), max_size=1).map(tuple)
+    phases = tuple(
+        EventTypeRef(f"ph{i}", draw(st.sampled_from(WIDE_CONCEPTS)), draw(roles))
+        for i in range(draw(st.integers(1, max_phases)))
+    )
+    witness = []
+    for _ in phases:
+        start = draw(st.integers(0, 6))
+        witness.append(ConcreteInterval(start, start + draw(st.integers(1, 4))))
+    constraints = []
+    for i, p in enumerate(phases):
+        for j in range(i + 1, len(phases)):
+            if draw(st.booleans()):
+                truth = relation_from_endpoints(witness[i], witness[j]).bit
+                extra = draw(st.integers(0, 2**13 - 1)) if draw(st.booleans()) else 0
+                constraints.append(PhaseConstraint(p.id, RelationSet(truth | extra), f"ph{j}"))
+    slots = [(p.id, rid) for p in phases for rid in p.uses_roles]
+    bindings = ()
+    if len(slots) >= 2 and draw(st.booleans()):
+        pair = draw(st.lists(st.sampled_from(slots), min_size=2, max_size=2, unique=True))
+        bindings = (Binding("b0", frozenset(pair)),)
+    return Plan(
+        plan_id, EventTypeRef("task0", "GenericTask"), phases, tuple(constraints), bindings
+    )
+
+
+@st.composite
+def oracle_cases(draw):
+    """Up to 3 plans over one shared concept pool and an episode of up to 12
+    motion tokens on a half-unit grid; a point token is widened by eps, so
+    it is degenerate under eps and anchors no temporal label."""
+    store = build_generator_store()
+    n_tokens = draw(st.integers(0, 12))
+    max_phases = max(k for k in range(1, 6) if math.perm(n_tokens, k) <= ORACLE_MAPS)
+    library = [
+        draw(realizable_plans(f"P{k}", max_phases)) for k in range(draw(st.integers(1, 3)))
+    ]
+    for d in library:
+        assume(not validate_description(d, store))
+    scene = random_scene(random.Random(draw(st.integers(0, 2**32 - 1))))
+    eps = draw(st.sampled_from((0.01, 0.25)))
+    tokens = []
+    for i in range(n_tokens):
+        start = draw(st.integers(0, 16)) / 2
+        end = start + eps if draw(st.integers(0, 3)) == 0 else start + draw(st.integers(1, 8)) / 2
+        participants = draw(
+            st.lists(st.sampled_from(sorted(scene.objects)), min_size=1, max_size=2, unique=True)
+        )
+        tag = draw(st.sampled_from(WIDE_TAGS))
+        tokens.append(
+            Token(f"t{i}", TokenClass.MOTION_EVENT, tag, tuple(participants),
+                  ConcreteInterval(start, end))
+        )
+    tokens.sort(key=lambda t: (t.interval.start, t.interval.end, t.id))
+    return store, library, Episode("gen", tuple(tokens), scene, eps)
+
+
+class TestParseOracleWide:
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_cases())
+    def test_matches_oracle_and_verifies(self, case):
+        store, library, episode = case
+        got = parse(episode, library, store)
+        assert got == rank(got)
+        keys = [interp_key(i) for i in got]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == parse_oracle(episode, library, store)
+        for i in got:
+            assert verify_interpretation(i, episode, library, store)
 
 @st.composite
 def bound_plans(draw):
