@@ -314,27 +314,14 @@ def compile_constraints(d: Description) -> ConstraintNetwork:
     return net
 
 
-def bind_roles(
-    d: Description, grounding: Dict[Tuple[str, str], str]
-) -> Optional[Dict[Tuple[str, str], str]]:
-    """Close a role grounding under the identity bindings of `d`, repeating
-    until no slot changes, so chains close in any binding order; None when
-    two slots bound to one entity are grounded differently."""
-    closed = dict(grounding)
-    changed = True
-    while changed:
-        changed = False
-        for b in d.bindings:
-            values = {closed[s] for s in b.slots if s in closed}
-            if len(values) > 1:
-                return None
-            if values:
-                (value,) = values
-                for s in b.slots:
-                    if s not in closed:
-                        closed[s] = value
-                        changed = True
-    return closed
+def binding_classes(d: Description) -> List[FrozenSet[Tuple[str, str]]]:
+    """The slots that bindings force onto one entity: the connected
+    components of the binding slots, merging bindings that share a slot."""
+    classes: List[FrozenSet[Tuple[str, str]]] = []
+    for b in d.bindings:
+        merged = b.slots.union(*(c for c in classes if c & b.slots))
+        classes = [c for c in classes if not c & b.slots] + [merged]
+    return classes
 
 
 def check_bindings(d: Description, grounding: Dict[Tuple[str, str], str]) -> bool:
@@ -344,7 +331,7 @@ def check_bindings(d: Description, grounding: Dict[Tuple[str, str], str]) -> boo
         for slot in b.slots:
             if slot not in grounding:
                 raise MissingSlot(f"binding {b.id} slot {slot} not grounded")
-    return bind_roles(d, grounding) is not None
+    return all(len({grounding[s] for s in c}) <= 1 for c in binding_classes(d))
 
 
 def check_goal(g: Goal, situation: Situation, store: OntologyStore) -> GoalResult:

@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .activity import Configuration, EventTypeRef, compile_constraints
-from .errors import ParseError, SomaKitError, ValidationFailed, VersionMismatch
+from .errors import SomaKitError, ValidationFailed
 from .formats import load_episode, load_library
 from .grounding import (
     ForceExpression,
@@ -194,10 +194,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for issue in exc.issues:
             print(f"issue: {issue}", file=sys.stderr)
         return 1
-    except (OSError, ParseError, VersionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SomaKitError as exc:
+    except (OSError, SomaKitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

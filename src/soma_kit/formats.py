@@ -93,7 +93,8 @@ def _records(
     prefix = f"{where}: " if where else ""
     if not isinstance(records, list):
         raise ParseError(f"{prefix}{key}: expected a list, got {type(records).__name__}")
-    named = [(f"{prefix}{key[:-1]} {idx}", record) for idx, record in enumerate(records)]
+    noun = key[:-3] + "y" if key.endswith("ies") else key[:-1]
+    named = [(f"{prefix}{noun} {idx}", record) for idx, record in enumerate(records)]
     for at, record in named:
         if not isinstance(record, dict):
             raise ParseError(f"{at}: expected an object, got {record!r}")
@@ -497,29 +498,30 @@ def load_episode(path: Union[str, Path], eps: float = 0.01) -> Episode:
 
 
 def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episode") -> Episode:
-    """Episode of a parsed document. An event without `class` or `type`, or
-    whose `type` is not a string, is a ParseError naming its index; a
-    non-positive or non-finite eps is a DegenerateInterval (from
+    """Episode of a parsed document. A scene, object, quality, disposition
+    or event record of the wrong type or without a key it needs (`id`,
+    `type`, `class`), or an event whose `type` is not a string or whose
+    `participants` are not a list of strings, is a ParseError naming the
+    record; a non-positive or non-finite eps is a DegenerateInterval (from
     `tokenize`)."""
     scene = _scene_from_json(doc.get("scene", {}))
     raw_events: List[RawEvent] = []
     issues: List[str] = []
-    for idx, node in enumerate(doc.get("events", [])):
-        participants = tuple(node.get("participants", []))
+    for at, node in _records(doc, "events"):
+        participants = _strings(node, "participants", at)
         for p in participants:
             if p not in scene:
-                issues.append(f"event {idx}: participant {p} not in scene")
+                issues.append(f"{at}: participant {p} not in scene")
         for key in ("class", "type"):
-            if key not in node:
-                raise ParseError(f"event {idx}: missing {key!r}")
+            _require_key(node, key, at)
         if not isinstance(node["type"], str):
-            raise ParseError(f"event {idx}: type is not a string: {node['type']!r}")
+            raise ParseError(f"{at}: type is not a string: {node['type']!r}")
         try:
             kind = TokenClass(node["class"])
         except ValueError:
-            issues.append(f"event {idx}: unknown class {node.get('class')!r}")
+            issues.append(f"{at}: unknown class {node.get('class')!r}")
             continue
-        start, end = _event_times(idx, node)
+        start, end = _event_times(at, node)
         raw_events.append(
             RawEvent(
                 kind=kind,
@@ -535,47 +537,49 @@ def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episo
     return Episode(id=episode_id, tokens=tuple(tokens), scene=scene, eps=eps)
 
 
-def _event_times(idx: int, node: dict) -> Tuple[float, float]:
-    """(start, end) of event record `idx`; a point record `{"timestamp": t}`
+def _event_times(at: str, node: dict) -> Tuple[float, float]:
+    """(start, end) of event record `at`; a point record `{"timestamp": t}`
     is `(t, t)`, which `tokenize` widens by `eps`."""
     if "timestamp" not in node:
-        return _event_time(idx, node, "start"), _event_time(idx, node, "end")
+        return _event_time(at, node, "start"), _event_time(at, node, "end")
     if "start" in node or "end" in node:
-        raise ParseError(f"event {idx}: give start/end or a timestamp, not both")
-    t = _event_time(idx, node, "timestamp")
+        raise ParseError(f"{at}: give start/end or a timestamp, not both")
+    t = _event_time(at, node, "timestamp")
     return t, t
 
 
-def _event_time(idx: int, node: dict, key: str) -> float:
+def _event_time(at: str, node: dict, key: str) -> float:
     if key not in node:
-        raise ParseError(f"event {idx}: missing {key!r} (give start/end or a timestamp)")
+        raise ParseError(f"{at}: missing {key!r} (give start/end or a timestamp)")
     try:
         return float(node[key])
     except (TypeError, ValueError):
-        raise ParseError(f"event {idx}: {key} is not a number: {node[key]!r}") from None
+        raise ParseError(f"{at}: {key} is not a number: {node[key]!r}") from None
 
 
-def _scene_from_json(node: dict) -> Scene:
+def _scene_from_json(node) -> Scene:
+    if not isinstance(node, dict):
+        raise ParseError(f"scene: expected an object, got {node!r}")
     objects: Dict[str, Entity] = {}
-    for record in node.get("objects", []):
-        eid = record["id"]
+    for at, record in _records(node, "objects", "scene"):
+        eid = _required(record, "id", at)
         qualities = tuple(
             Quality(
                 id=f"{eid}.q{i}",
-                type_tag=q["type"],
+                type_tag=_required(q, "type", q_at),
                 value=q.get("value"),
                 units=q.get("units"),
             )
-            for i, q in enumerate(record.get("qualities", []))
+            for i, (q_at, q) in enumerate(_records(record, "qualities", at))
         )
         dispositions = tuple(
             Disposition(
                 id=f"{eid}.d{i}",
                 bearer=eid,
-                disposition_type=d["type"],
+                disposition_type=_required(d, "type", d_at),
                 affordance=d.get("affordance"),
             )
-            for i, d in enumerate(record.get("dispositions", []))
+            for i, (d_at, d) in enumerate(_records(record, "dispositions", at))
         )
         objects[eid] = Entity(
             id=eid,

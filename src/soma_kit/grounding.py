@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Optional, Set, Union
+from typing import Dict, FrozenSet
 
 from .activity import EventTypeRef
 from .errors import UnknownRole
@@ -79,10 +79,19 @@ def force_outcome(expr: ForceExpression) -> ForceOutcome:
     )
 
 
+def admits(role_id: str, eid: str, scene: Scene, store: OntologyStore) -> bool:
+    """Whether scene entity `eid` may play concept `role_id`: a Role admits
+    the scene objects it classifies; any other concept (a bound parameter)
+    admits every entity."""
+    if store.concept(role_id).kind is not ConceptKind.ROLE:
+        return True
+    return eid in scene and store.check_classification(role_id, scene.entity(eid))
+
+
 def select_objects(
     task: EventTypeRef, scene: Scene, store: OntologyStore
 ) -> Dict[str, FrozenSet[str]]:
-    """For each role of the task, the scene objects it may classify.
+    """For each role of the task, the scene objects it admits.
 
     Affordance bearer/trigger structure is honored through the roles' own
     restrictions: a trigger-restricted role admits exactly the objects that
@@ -94,9 +103,5 @@ def select_objects(
             raise UnknownRole(f"unknown role: {role_id}")
         if store.concept(role_id).kind is not ConceptKind.ROLE:
             raise UnknownRole(f"{role_id} is not a Role concept")
-        result[role_id] = frozenset(
-            eid
-            for eid, entity in scene.objects.items()
-            if store.check_classification(role_id, entity)
-        )
+        result[role_id] = frozenset(e for e in scene.objects if admits(role_id, e, scene, store))
     return result

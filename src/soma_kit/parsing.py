@@ -13,18 +13,15 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .activity import Description, bind_roles, compile_constraints
+from .activity import Description, binding_classes, compile_constraints
 from .allen import ConcreteInterval, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
-from .grounding import Scene
-from .ontology import (
-    ConceptKind,
-    EVENT_CONCEPT_KINDS,
-    OntologyStore,
-)
+from .grounding import Scene, admits
+from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
 
 
 class TokenClass(Enum):
@@ -186,23 +183,42 @@ def _type_matches(type_tag: str, phase_concept: str, store: OntologyStore) -> bo
 
 
 _Masks = Tuple[Tuple[int, ...], ...]
+_RoleClass = Tuple[Tuple[str, ...], FrozenSet[Tuple[str, str]]]  # (phase ids, slots)
+_Compiled = Tuple[_Masks, Tuple[_RoleClass, ...]]
 
-#: Phase label tables by description value, dropped with the description.
-_MASKS: "weakref.WeakKeyDictionary[Description, _Masks]" = weakref.WeakKeyDictionary()
+#: Compiled plans by description value, dropped with the description.
+_COMPILED: "weakref.WeakKeyDictionary[Description, _Compiled]" = weakref.WeakKeyDictionary()
 
 
-def _phase_masks(d: Description) -> _Masks:
-    """`masks[j][k]`: the propagated label from phase j to phase k, as a
-    13-bit mask, in phase order. Path consistency depends on the plan alone,
-    so it runs once per distinct description value; an inconsistent one is
-    never stored and raises TemporallyInconsistent on every call."""
-    masks = _MASKS.get(d)
-    if masks is None:
+def _compile_plan(d: Description) -> _Compiled:
+    """The label masks and role classes of `d`: `masks[j][k]` is the
+    propagated label from phase j to phase k, as a 13-bit mask, in phase
+    order. Both depend on the plan alone, so they are built once per
+    distinct description value; an inconsistent plan is never stored and
+    raises TemporallyInconsistent on every call."""
+    compiled = _COMPILED.get(d)
+    if compiled is None:
         net = compile_constraints(d)
         ids = [p.id for p in d.phases]
         masks = tuple(tuple(net.query_relation(a, b).mask for b in ids) for a in ids)
-        _MASKS[d] = masks
-    return masks
+        compiled = _COMPILED[d] = masks, _role_classes(d)
+    return compiled
+
+
+def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
+    """The slot sets that ground to one entity taken from the tokens: each
+    binding class that holds a phase role slot, and each unbound phase role
+    slot alone, with the phases whose tokens must all hold that entity."""
+    phase_slots = [(p.id, rid) for p in d.phases for rid in p.uses_roles]
+    classes = binding_classes(d)
+    classes += [
+        frozenset({s}) for s in dict.fromkeys(phase_slots) if not any(s in c for c in classes)
+    ]
+    return tuple(
+        (tuple(dict.fromkeys(pid for pid, rid in phase_slots if (pid, rid) in c)), c)
+        for c in classes
+        if not c.isdisjoint(phase_slots)
+    )
 
 
 def _relation_bits(tokens: Sequence[Token], eps: float) -> Callable[[int, int], int]:
@@ -225,39 +241,25 @@ def _relation_bits(tokens: Sequence[Token], eps: float) -> Callable[[int, int], 
 
 
 def _role_assignments(
-    d: Description,
+    classes: Sequence[_RoleClass],
     phase_grounding: Dict[str, Token],
-    scene: Scene,
-    store: OntologyStore,
+    admitted: Callable[[str, str], bool],
 ) -> List[Dict[Tuple[str, str], str]]:
     """All role groundings compatible with the token participants, the plan's
-    bindings, and the roles' selectional restrictions."""
-    slots: List[Tuple[str, str]] = []
-    options: List[Tuple[str, ...]] = []
-    for phase in d.phases:
-        token = phase_grounding[phase.id]
-        for rid in phase.uses_roles:
-            slots.append((phase.id, rid))
-            options.append(token.participants)
-    results: List[Dict[Tuple[str, str], str]] = []
-    for combo in product(*options):
-        closed = bind_roles(d, dict(zip(slots, combo)))
-        if closed is not None and _roles_admissible(closed, scene, store):
-            results.append(closed)
-    return results
-
-
-def _roles_admissible(
-    grounding: Dict[Tuple[str, str], str], scene: Scene, store: OntologyStore
-) -> bool:
-    for (_, concept_id), entity_id in grounding.items():
-        if store.concept(concept_id).kind is not ConceptKind.ROLE:
-            continue
-        if entity_id not in scene:
-            return False
-        if not store.check_classification(concept_id, scene.entity(entity_id)):
-            return False
-    return True
+    bindings, and the roles' selectional restrictions: one entity per class,
+    a participant of each of its phases' tokens that each of its slots'
+    concepts admits, given to every slot of the class."""
+    choices: List[List[str]] = []
+    for phases, slots in classes:
+        first, *rest = (phase_grounding[pid].participants for pid in phases)
+        choices.append([
+            e for e in dict.fromkeys(first)
+            if all(e in r for r in rest) and all(admitted(rid, e) for _, rid in slots)
+        ])
+    return [
+        {s: e for (_, slots), e in zip(classes, combo) for s in slots}
+        for combo in product(*choices)
+    ]
 
 
 def parse(
@@ -270,13 +272,15 @@ def parse(
     by_tag: Dict[str, List[int]] = {}
     for pos, t in enumerate(tokens):
         by_tag.setdefault(t.type_tag, []).append(pos)
-    # Each (type tag, phase concept) pair is matched once per call, never
-    # across calls: the store may be unfrozen and change between them.
+    # Each (type tag, phase concept) and (role, entity) pair is decided once
+    # per call, never across calls: the store may be unfrozen and change
+    # between them, and each episode has its own scene.
+    admitted = cache(partial(admits, scene=episode.scene, store=store))
     candidates: Dict[str, List[int]] = {}
     for d in library:
         if not d.phases:
             continue
-        masks = _phase_masks(d)
+        masks, classes = _compile_plan(d)
         for p in d.phases:
             if p.concept not in candidates:
                 candidates[p.concept] = sorted(
@@ -286,7 +290,7 @@ def parse(
                     for pos in group
                 )
         phase_candidates = [candidates[p.concept] for p in d.phases]
-        _search(d, masks, phase_candidates, [], set(), episode, bit, store, found)
+        _search(d, masks, phase_candidates, classes, [], set(), episode, bit, admitted, found)
     return rank(found)
 
 
@@ -294,11 +298,12 @@ def _search(
     d: Description,
     masks: _Masks,
     candidates: List[List[int]],
+    classes: Sequence[_RoleClass],
     assigned: List[Tuple[int, int]],
     used: Set[int],
     episode: Episode,
     bit: Callable[[int, int], int],
-    store: OntologyStore,
+    admitted: Callable[[str, str], bool],
     out: List[Interpretation],
 ) -> None:
     """Extend `assigned`, (phase index, token position) pairs, phase by
@@ -307,7 +312,7 @@ def _search(
     k = len(assigned)
     if k == len(d.phases):
         grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in assigned}
-        for roles in _role_assignments(d, grounding, episode.scene, store):
+        for roles in _role_assignments(classes, grounding, admitted):
             out.append(_make_interpretation(d, grounding, roles, episode))
         return
     for pos in candidates[k]:
@@ -315,7 +320,7 @@ def _search(
             continue
         assigned.append((k, pos))
         used.add(pos)
-        _search(d, masks, candidates, assigned, used, episode, bit, store, out)
+        _search(d, masks, candidates, classes, assigned, used, episode, bit, admitted, out)
         used.discard(pos)
         assigned.pop()
 
@@ -386,7 +391,7 @@ def verify_interpretation(
         return False
     if len(set(grounding.values())) != len(grounding):
         return False  # not injective
-    masks = _phase_masks(d)
+    masks, classes = _compile_plan(d)
     bit = _relation_bits(episode.tokens, episode.eps)
     assigned: List[Tuple[int, int]] = []
     for pid in sorted(grounding):
@@ -397,4 +402,5 @@ def verify_interpretation(
             return False
         assigned.append((k, pos))
     tokens = {pid: episode.tokens[pos] for pid, pos in grounding.items()}
-    return dict(interp.role_grounding) in _role_assignments(d, tokens, episode.scene, store)
+    admitted = partial(admits, scene=episode.scene, store=store)
+    return dict(interp.role_grounding) in _role_assignments(classes, tokens, admitted)

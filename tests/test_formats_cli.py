@@ -304,6 +304,47 @@ MALFORMED_RECORDS = {
 }
 
 
+def _objects(doc):
+    return doc["scene"]["objects"]
+
+
+# defect -> (edit of the pouring episode document, message on stderr)
+MALFORMED_EPISODES = {
+    "object-without-id": (
+        lambda doc: _objects(doc)[1].pop("id"),
+        "scene: object 1: missing 'id'",
+    ),
+    "quality-without-type": (
+        lambda doc: _set(_objects(doc)[0], "qualities", [{"value": 1.0}]),
+        "scene: object 0: quality 0: missing 'type'",
+    ),
+    "disposition-without-type": (
+        lambda doc: _objects(doc)[2]["dispositions"][0].pop("type"),
+        "scene: object 2: disposition 0: missing 'type'",
+    ),
+    "scene-not-an-object": (
+        lambda doc: _set(doc, "scene", []),
+        "scene: expected an object, got []",
+    ),
+    "objects-not-a-list": (
+        lambda doc: _set(doc["scene"], "objects", "x"),
+        "scene: objects: expected a list, got str",
+    ),
+    "events-not-a-list": (
+        lambda doc: _set(doc, "events", "x"),
+        "events: expected a list, got str",
+    ),
+    "event-not-an-object": (
+        lambda doc: _set(doc["events"], 1, ["Tilting"]),
+        "event 1: expected an object, got ['Tilting']",
+    ),
+    "participants-not-a-list": (
+        lambda doc: _set(doc["events"][0], "participants", 5),
+        "event 0: participants: expected a list of strings, got 5",
+    ),
+}
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         code, out, _ = run_cli(capsys, "validate", str(SEED_LIBRARY))
@@ -418,6 +459,18 @@ class TestCli:
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("defect", list(MALFORMED_EPISODES))
+    def test_malformed_episode_record_exit_2(self, capsys, tmp_path, defect):
+        doc = json.loads(POURING_EPISODE.read_text())
+        edit, message = MALFORMED_EPISODES[defect]
+        edit(doc)
+        path = tmp_path / "ep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "parse", str(SEED_LIBRARY), str(path))
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"

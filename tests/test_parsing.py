@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import weakref
@@ -38,6 +39,7 @@ from soma_kit.errors import (
     NegativeDuration,
     TemporallyInconsistent,
 )
+from soma_kit.formats import load_episode_document
 
 from generators import (
     MOTIONS,
@@ -49,6 +51,7 @@ from generators import (
     random_plan,
     random_scene,
 )
+from conftest import POURING_EPISODE
 from oracles import parse_oracle, tokenize_oracle
 
 
@@ -213,6 +216,19 @@ class TestParseSeed:
         duplicate = library[0].__class__(**{**library[0].__dict__, "id": "PouringPlanCopy"})
         extended = {interp_key(i) for i in parse(pouring_episode, list(library) + [duplicate], store)}
         assert base <= extended
+
+    def test_doubled_participants_give_each_interpretation_once(self, seed, pouring_episode):
+        # The role product runs over distinct participants, so listing each
+        # one twice must not yield one interpretation more than once.
+        store, library = seed
+        doc = json.loads(POURING_EPISODE.read_text())
+        for event in doc["events"]:
+            event["participants"] = event["participants"] * 2
+        doubled = load_episode_document(doc)
+        got = parse(doubled, library, store)
+        assert got == parse(pouring_episode, library, store)
+        assert len(got) == 1
+        assert verify_interpretation(got[0], doubled, library, store)
 
 
 class TestParseOracle:
@@ -395,8 +411,22 @@ class TestParseOracleWide:
         keys = [interp_key(i) for i in got]
         assert len(keys) == len(set(keys))
         assert set(keys) == parse_oracle(episode, library, store)
+        assert len(got) == len(set(got))
         for i in got:
             assert verify_interpretation(i, episode, library, store)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases(), st.randoms(use_true_random=False))
+    def test_participant_order_free(self, case, rnd):
+        store, library, episode = case
+        tokens = []
+        for t in episode.tokens:
+            participants = list(t.participants)
+            rnd.shuffle(participants)
+            tokens.append(dataclasses.replace(t, participants=tuple(participants)))
+        reordered = dataclasses.replace(episode, tokens=tuple(tokens))
+        assert parse(reordered, library, store) == parse(episode, library, store)
+
 
 @st.composite
 def bound_plans(draw):
@@ -464,6 +494,7 @@ class TestBindingClosure:
         store = build_generator_store()
         episode = random_episode(random.Random(seed), max_tokens=6)
         got = parse(episode, [plan], store)
+        assert len(got) == len(set(got))
         for order in permutations(plan.bindings):
             assert parse(episode, [dataclasses.replace(plan, bindings=order)], store) == got
         assert {interp_key(i) for i in got} == parse_oracle(episode, [plan], store)
