@@ -8,7 +8,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from soma_kit import (  # noqa: E402
-    compile_constraints,
     load_episode,
     load_library,
     parse,
@@ -21,7 +20,7 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 def main():
     store, library = load_library(DATA / "seed_library.json")
     plan = library[0]
-    net = compile_constraints(plan)
+    net = library.compiled[0].network  # propagated once, when the library was validated
     print(f"loaded {len(library)} descriptions; plan: {plan.id}")
     print(
         "Approaching vs Tilting:",

@@ -49,7 +49,6 @@ from .grounding import (
 from .ontology import (
     AffordanceSpec,
     And,
-    Classification,
     ClassificationResult,
     Concept,
     ConceptKind,
@@ -68,6 +67,7 @@ from .ontology import (
     TypeTagIn,
 )
 from .parsing import (
+    CompiledLibrary,
     Episode,
     Interpretation,
     RawEvent,

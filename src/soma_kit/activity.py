@@ -16,9 +16,10 @@ from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
 from .errors import MissingSlot, TemporallyInconsistent
 from .ontology import (
-    Concept,
     ConceptKind,
     EVENT_CONCEPT_KINDS,
+    EVENT_ENTITY_KINDS,
+    Entity,
     OntologyStore,
     Restriction,
 )
@@ -208,6 +209,14 @@ def _slot_refs(d: Description) -> List[EventTypeRef]:
 
 def validate_description(d: Description, store: OntologyStore) -> List[ValidationIssue]:
     """Structural and temporal validation; an empty list means valid."""
+    return validate_and_compile(d, store)[0]
+
+
+def validate_and_compile(
+    d: Description, store: OntologyStore
+) -> Tuple[List[ValidationIssue], Optional[ConstraintNetwork]]:
+    """The issues `validate_description` lists and, for a valid plan or
+    process flow, the network its temporal check propagated (else None)."""
     issues: List[ValidationIssue] = []
     refs = _slot_refs(d)
     phase_ids: Set[str] = set()
@@ -281,12 +290,13 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
                     issues.append(
                         ValidationIssue("unknown-role", f"goal binds unknown role {rid}")
                     )
+    net = None
     if not issues and not isinstance(d, Configuration):
         try:
-            compile_constraints(d)
+            net = compile_constraints(d)
         except TemporallyInconsistent as exc:
             issues.append(ValidationIssue("temporally-inconsistent", str(exc)))
-    return issues
+    return issues, net
 
 
 def compile_constraints(d: Description) -> ConstraintNetwork:
@@ -353,13 +363,13 @@ def check_goal(g: Goal, situation: Situation, store: OntologyStore) -> GoalResul
 
 
 def interpretation_square_violations(
-    store: OntologyStore,
     situations: Sequence[Situation],
     descriptions: Dict[str, Description],
+    classifications: Sequence[Tuple[str, Entity]],
 ) -> List[str]:
-    """Walk the situation-description-event-type-event square and report
-    broken edges: defined event types classifying non-events, or classified
-    events that have no setting among the situations."""
+    """Walk the situation-description-event-type-event square over the
+    (concept id, entity) classification edges and report broken edges:
+    event types classifying non-events, or events with no setting."""
     violations: List[str] = []
     situation_events = {eid for s in situations for eid in s.included_events}
     for s in situations:
@@ -370,14 +380,11 @@ def interpretation_square_violations(
             violations.append(f"{s.id} satisfies unknown description {s.satisfies}")
             continue
         defined_concepts = {ref.concept for ref in _slot_refs(d)}
-        for cls in store.classifications():
-            if cls.concept not in defined_concepts:
+        for concept, entity in classifications:
+            if concept not in defined_concepts:
                 continue
-            entity = store.entity(cls.entity)
-            if entity.kind.value not in ("action", "process", "state"):
-                violations.append(
-                    f"{cls.concept} classifies non-event entity {cls.entity}"
-                )
-            elif cls.entity not in situation_events:
-                violations.append(f"event {cls.entity} has no setting situation")
+            if entity.kind not in EVENT_ENTITY_KINDS:
+                violations.append(f"{concept} classifies non-event entity {entity.id}")
+            elif entity.id not in situation_events:
+                violations.append(f"event {entity.id} has no setting situation")
     return violations

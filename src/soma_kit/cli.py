@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .activity import Configuration, EventTypeRef, compile_constraints
+from .activity import EventTypeRef
 from .errors import SomaKitError, ValidationFailed
 from .formats import load_episode, load_library
 from .grounding import (
@@ -23,7 +23,7 @@ from .grounding import (
     force_outcome,
     select_objects,
 )
-from .parsing import parse as parse_episode
+from .parsing import CompiledPlan, parse as parse_episode
 
 
 def _eps(text: str) -> float:
@@ -113,13 +113,11 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _find_ref(store, descriptions, name: str) -> Optional[EventTypeRef]:
-    """First slot, walking (defined event, *phases) of each description that
-    is not a configuration, in order, whose id or concept name is `name`."""
-    for d in descriptions:
-        if isinstance(d, Configuration):
-            continue
-        for ref in (d.defines, *d.phases):
+def _find_ref(store, plans: Iterable[CompiledPlan], name: str) -> Optional[EventTypeRef]:
+    """First slot, walking (defined event, *phases) of each compiled plan or
+    process flow in order, whose id or concept name is `name`."""
+    for plan in plans:
+        for ref in (plan.description.defines, *plan.description.phases):
             if ref is not None and (
                 ref.id == name
                 or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
@@ -130,11 +128,7 @@ def _find_ref(store, descriptions, name: str) -> Optional[EventTypeRef]:
 
 def _cmd_query(args) -> int:
     store, library = load_library(args.library)
-    target = None
-    for d in library:
-        if d.id == args.plan and not isinstance(d, Configuration):
-            target = d
-            break
+    target = dict(zip((d.id for d in library), library.compiled)).get(args.plan)
     if target is None:
         print(f"error: no plan or process flow named {args.plan!r}", file=sys.stderr)
         return 2
@@ -144,15 +138,14 @@ def _cmd_query(args) -> int:
         missing = args.phase_a if a is None else args.phase_b
         print(f"error: unknown phase {missing!r}", file=sys.stderr)
         return 2
-    net = compile_constraints(target)
-    print(net.query_relation(a.id, b.id).codes())
+    print(target.network.query_relation(a.id, b.id).codes())
     return 0
 
 
 def _cmd_select(args) -> int:
     store, library = load_library(args.library)
     episode = load_episode(args.episode, eps=args.eps)
-    task_ref = _find_ref(store, library, args.task)
+    task_ref = _find_ref(store, filter(None, library.compiled), args.task)
     if task_ref is None:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2

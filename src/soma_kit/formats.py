@@ -5,6 +5,7 @@ serializer used for round-trip checks.
 
 from __future__ import annotations
 
+import heapq
 import json
 from numbers import Real
 from pathlib import Path
@@ -22,7 +23,7 @@ from .activity import (
     ProcessFlow,
     RELATION_VOCABULARY,
     StateRelationConstraint,
-    validate_description,
+    validate_and_compile,
 )
 from .allen import RelationSet
 from .errors import (
@@ -52,7 +53,7 @@ from .ontology import (
     Restriction,
     TypeTagIn,
 )
-from .parsing import Episode, RawEvent, Token, TokenClass, tokenize
+from .parsing import CompiledLibrary, Episode, RawEvent, TokenClass, tokenize
 
 FORMAT_VERSION = "soma-kit/1"
 
@@ -93,7 +94,7 @@ def _records(
     prefix = f"{where}: " if where else ""
     if not isinstance(records, list):
         raise ParseError(f"{prefix}{key}: expected a list, got {type(records).__name__}")
-    noun = key[:-3] + "y" if key.endswith("ies") else key[:-1]
+    noun = key[:-3] + "y" if key.endswith("ies") else key.removesuffix("s")
     named = [(f"{prefix}{noun} {idx}", record) for idx, record in enumerate(records)]
     for at, record in named:
         if not isinstance(record, dict):
@@ -345,7 +346,7 @@ def _description_to_json(d: Description) -> dict:
 # --- library --------------------------------------------------------------------
 
 
-def load_library(path: Union[str, Path]) -> Tuple[OntologyStore, List[Description]]:
+def load_library(path: Union[str, Path]) -> Tuple[OntologyStore, CompiledLibrary]:
     """Load, validate, and freeze a plan-library document.
 
     Fails with ValidationFailed listing every issue found; a store is only
@@ -356,51 +357,16 @@ def load_library(path: Union[str, Path]) -> Tuple[OntologyStore, List[Descriptio
     return load_library_document(doc)
 
 
-def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
-    """Store and descriptions of a parsed library document. A malformed
-    record (a concept without `id` or with an unknown `kind`, a description
-    without `id`, a plan without `defines`, a top-level list that is not a
-    list of objects) is a ParseError naming it; validation issues, duplicate
-    ids among them, are collected into one ValidationFailed."""
+def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
+    """Store and compiled descriptions of a parsed library document. A
+    malformed record (a concept without `id` or with an unknown `kind`, a
+    description without `id`, a plan without `defines`, a top-level list
+    that is not a list of objects) is a ParseError naming it; validation
+    issues, duplicate ids among them, are collected into one
+    ValidationFailed. Each plan keeps the network validation propagated."""
     store = OntologyStore()
     issues: List[str] = []
-
-    pending: Dict[str, Tuple[str, dict, ConceptKind, Tuple[str, ...]]] = {}
-    for at, record in _records(doc, "concepts"):
-        cid = _required(record, "id", at)
-        try:
-            kind = ConceptKind(record.get("kind"))
-        except ValueError:
-            raise ParseError(f"{at}: unknown kind {record.get('kind')!r}") from None
-        if cid in pending:
-            issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
-        else:
-            pending[cid] = at, record, kind, _strings(record, "parents", at)
-    while pending:
-        progressed = False
-        for cid in list(pending):
-            at, record, kind, parents = pending[cid]
-            if all(store.has_concept(p) for p in parents):
-                restriction = record.get("restriction")
-                try:
-                    store.add_concept(
-                        name=record.get("name", cid),
-                        kind=kind,
-                        parents=parents,
-                        restriction=restriction_from_json(restriction, f"{at}: restriction")
-                        if restriction
-                        else None,
-                        concept_id=cid,
-                    )
-                except (KindMismatch, UnknownId) as exc:
-                    issues.append(f"concept {cid}: {exc}")
-                del pending[cid]
-                progressed = True
-        if not progressed:
-            for cid, (_, _, _, parents) in sorted(pending.items()):
-                missing = [p for p in parents if not store.has_concept(p)]
-                issues.append(f"concept {cid}: unresolved parents {missing}")
-            break
+    _add_concepts(doc, store, issues)
 
     for at, node in _records(doc, "affordances"):
         try:
@@ -436,16 +402,64 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, List[Description]]:
 
     store.freeze()
     seen_ids = set()
+    networks = []
     for d in descriptions:
         if d.id in seen_ids:
             issues.append(f"description {d.id}: duplicate-description: id is used more than once")
         seen_ids.add(d.id)
-        for issue in validate_description(d, store):
-            issues.append(f"description {d.id}: {issue}")
+        d_issues, net = validate_and_compile(d, store)
+        issues += (f"description {d.id}: {issue}" for issue in d_issues)
+        networks.append(net)
 
     if issues:
         raise ValidationFailed(issues)
-    return store, descriptions
+    return store, CompiledLibrary(descriptions, networks)
+
+
+def _add_concepts(doc: dict, store: OntologyStore, issues: List[str]) -> None:
+    """Add the concept records of `doc` to `store` in the order passes over
+    them in file order would: a concept is ready in the pass that adds its
+    last parent, or in the next pass when that parent comes later in the
+    file. A heap keyed by (pass, file position) gives that order in
+    O(n log n). Issues: a repeated id, a rejected concept, and, by id, each
+    concept whose parents never all arrive."""
+    records: Dict[str, Tuple[str, dict, ConceptKind, Tuple[str, ...]]] = {}
+    for at, record in _records(doc, "concepts"):
+        cid = _required(record, "id", at)
+        try:
+            kind = ConceptKind(record.get("kind"))
+        except ValueError:
+            raise ParseError(f"{at}: unknown kind {record.get('kind')!r}") from None
+        if cid in records:
+            issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
+        else:
+            records[cid] = at, record, kind, _strings(record, "parents", at)
+    ids = list(records)
+    waiting = [len(set(records[cid][3])) for cid in ids]  # parents not yet added
+    children: Dict[str, List[int]] = {}
+    for pos, cid in enumerate(ids):
+        for pid in set(records[cid][3]):
+            children.setdefault(pid, []).append(pos)
+    ready = [(1, pos) for pos, n in enumerate(waiting) if not n]
+    while ready:
+        npass, pos = heapq.heappop(ready)
+        cid = ids[pos]
+        at, record, kind, parents = records[cid]
+        restriction = record.get("restriction") or None
+        if restriction:
+            restriction = restriction_from_json(restriction, f"{at}: restriction")
+        try:
+            store.add_concept(record.get("name", cid), kind, parents, restriction, cid)
+        except (KindMismatch, UnknownId) as exc:
+            issues.append(f"concept {cid}: {exc}")
+            continue
+        for child in children.get(cid, ()):
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, (npass + (child < pos), child))
+    for cid in sorted(ids[pos] for pos, n in enumerate(waiting) if n):
+        missing = [p for p in records[cid][3] if not store.has_concept(p)]
+        issues.append(f"concept {cid}: unresolved parents {missing}")
 
 
 def serialize_library(store: OntologyStore, descriptions: Sequence[Description]) -> dict:
@@ -502,11 +516,12 @@ def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episo
     or event record of the wrong type or without a key it needs (`id`,
     `type`, `class`), or an event whose `type` is not a string or whose
     `participants` are not a list of strings, is a ParseError naming the
-    record; a non-positive or non-finite eps is a DegenerateInterval (from
-    `tokenize`)."""
-    scene = _scene_from_json(doc.get("scene", {}))
-    raw_events: List[RawEvent] = []
+    record; an object id used twice, an unknown participant or event class
+    is a validation issue; a non-positive or non-finite eps is a
+    DegenerateInterval (from `tokenize`)."""
     issues: List[str] = []
+    scene = _scene_from_json(doc.get("scene", {}), issues)
+    raw_events: List[RawEvent] = []
     for at, node in _records(doc, "events"):
         participants = _strings(node, "participants", at)
         for p in participants:
@@ -557,7 +572,9 @@ def _event_time(at: str, node: dict, key: str) -> float:
         raise ParseError(f"{at}: {key} is not a number: {node[key]!r}") from None
 
 
-def _scene_from_json(node) -> Scene:
+def _scene_from_json(node, issues: List[str]) -> Scene:
+    """Scene of a scene record; an object id used twice is an issue, and
+    the first object with that id is kept."""
     if not isinstance(node, dict):
         raise ParseError(f"scene: expected an object, got {node!r}")
     objects: Dict[str, Entity] = {}
@@ -581,6 +598,9 @@ def _scene_from_json(node) -> Scene:
             )
             for i, (d_at, d) in enumerate(_records(record, "dispositions", at))
         )
+        if eid in objects:
+            issues.append(f"{at}: duplicate-object: id {eid} is used more than once")
+            continue
         objects[eid] = Entity(
             id=eid,
             name=record.get("name", eid),

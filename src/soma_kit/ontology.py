@@ -190,13 +190,6 @@ class DesignSpec:
 
 
 @dataclass(frozen=True)
-class Classification:
-    concept: str
-    entity: str
-    during: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class ClassificationResult:
     accepted: bool
     reason: Optional[str] = None
@@ -212,7 +205,8 @@ ACCEPTED = ClassificationResult(True)
 
 
 class OntologyStore:
-    """In-memory store for both branches plus affordance and design records.
+    """In-memory store of the descriptive branch: concepts, affordance and
+    design records. Ground entities live in each episode's Scene.
 
     Mutating operations are only legal before :meth:`freeze`; afterwards the
     store is read-only and safe to share between concurrent readers.
@@ -222,10 +216,8 @@ class OntologyStore:
         self._concepts: Dict[str, Concept] = {}
         self._by_name: Dict[str, List[Concept]] = {}
         self._ancestors: Dict[str, FrozenSet[str]] = {}
-        self._entities: Dict[str, Entity] = {}
         self._affordances: Dict[str, AffordanceSpec] = {}
         self._designs: Dict[str, DesignSpec] = {}
-        self._classifications: List[Classification] = []
         self._ids = itertools.count(1)
         self._frozen = False
 
@@ -246,7 +238,7 @@ class OntologyStore:
     def _fresh_id(self, prefix: str) -> str:
         while True:
             candidate = f"{prefix}{next(self._ids)}"
-            if candidate not in self._concepts and candidate not in self._entities:
+            if candidate not in self._concepts:
                 return candidate
 
     # -- concepts
@@ -332,27 +324,6 @@ class OntologyStore:
         self.concept(b)
         return b in self.ancestors(a)
 
-    # -- entities
-
-    def add_entity(self, entity: Entity) -> str:
-        self._check_mutable()
-        if entity.id in self._entities:
-            raise KindMismatch(f"duplicate entity id: {entity.id}")
-        self._entities[entity.id] = entity
-        return entity.id
-
-    def entity(self, eid: str) -> Entity:
-        try:
-            return self._entities[eid]
-        except KeyError:
-            raise UnknownId(f"unknown entity: {eid}") from None
-
-    def has_entity(self, eid: str) -> bool:
-        return eid in self._entities
-
-    def entities(self) -> Tuple[Entity, ...]:
-        return tuple(self._entities.values())
-
     # -- affordances and designs
 
     def add_affordance(self, spec: AffordanceSpec) -> None:
@@ -394,9 +365,8 @@ class OntologyStore:
 
     # -- classification
 
-    def satisfies_restriction(self, entity: Union[str, Entity], r: Restriction) -> bool:
+    def satisfies_restriction(self, e: Entity, r: Restriction) -> bool:
         """Recursive restriction evaluation over a ground entity."""
-        e = entity if isinstance(entity, Entity) else self.entity(entity)
         if isinstance(r, KindIs):
             return e.kind is r.kind
         if isinstance(r, TypeTagIn):
@@ -416,48 +386,24 @@ class OntologyStore:
             return any(self.satisfies_restriction(e, item) for item in r.items)
         raise TypeError(f"not a restriction: {r!r}")
 
-    def check_classification(
-        self, concept_id: str, entity: Union[str, Entity]
-    ) -> ClassificationResult:
+    def check_classification(self, concept_id: str, e: Entity) -> ClassificationResult:
         """Can this social concept legally classify this ground entity?"""
         concept = self.concept(concept_id)
-        e = entity if isinstance(entity, Entity) else self.entity(entity)
         legal = CLASSIFIABLE_KINDS.get(concept.kind)
         if legal is None:
-            raise BranchViolation(
-                f"{concept.kind.value} concepts do not classify ground entities"
-            )
+            raise BranchViolation(f"{concept.kind.value} concepts do not classify ground entities")
         if e.kind not in legal:
             return ClassificationResult(
                 False, f"{concept.kind.value} cannot classify {e.kind.value} entities"
             )
-        if concept.restriction is None:
-            return ACCEPTED
-        if self.satisfies_restriction(e, concept.restriction):
+        if concept.restriction is None or self.satisfies_restriction(e, concept.restriction):
             return ACCEPTED
         return ClassificationResult(False, _rejection_reason(concept.restriction))
 
-    def assert_classification(
-        self, concept_id: str, entity_id: str, during: Optional[str] = None
-    ) -> Classification:
-        """Record a classification edge after verifying its legality."""
-        self._check_mutable()
-        result = self.check_classification(concept_id, entity_id)
-        if not result:
-            raise BranchViolation(result.reason or "classification rejected")
-        record = Classification(concept_id, entity_id, during)
-        self._classifications.append(record)
-        return record
-
-    def classifications(self) -> Tuple[Classification, ...]:
-        return tuple(self._classifications)
-
-    def design_describes(self, design_concept: str, object_id: Union[str, Entity]) -> bool:
-        """Functional design matching: restriction satisfied iff described."""
-        spec = self.design(design_concept)
-        if spec.aspect is not DesignAspect.FUNCTIONAL:
-            raise UnsupportedAspect(f"unsupported design aspect: {spec.aspect.value}")
-        return self.satisfies_restriction(object_id, spec.quality_restriction)
+    def design_describes(self, design_concept: str, e: Entity) -> bool:
+        """Functional design matching (`add_design` admits no other aspect):
+        restriction satisfied iff described."""
+        return self.satisfies_restriction(e, self.design(design_concept).quality_restriction)
 
     def check_parameter(self, parameter_id: str, value: float, units: str) -> bool:
         """Does a numeric value (with unit tag) satisfy a parameter's region?"""

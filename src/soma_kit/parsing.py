@@ -10,15 +10,14 @@ exhaustive enumeration of injective phase-to-token assignments.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .activity import Description, binding_classes, compile_constraints
-from .allen import ConcreteInterval, relation_from_endpoints
+from .activity import Configuration, Description, binding_classes, compile_constraints
+from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene, admits
 from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
@@ -86,20 +85,22 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
     participants that carries a different type tag, so every state token is
     homeomeric: no sub-interval spans a state transition. A point event is
     widened to [t, t + eps], so eps must be positive and finite; any other
-    eps raises DegenerateInterval.
+    eps raises DegenerateInterval. An event with a non-finite time, an end
+    before its start or no participants raises NegativeDuration naming its
+    index (`event 3: Tilting has no participants`).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DegenerateInterval(f"eps must be a positive finite number, got {eps!r}")
     widened: List[RawEvent] = []
-    for ev in raw_events:
+    for idx, ev in enumerate(raw_events):
         if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
-            raise NegativeDuration(f"non-finite timestamps on {ev.type_tag}")
+            raise NegativeDuration(f"event {idx}: non-finite timestamps on {ev.type_tag}")
         if ev.end < ev.start:
             raise NegativeDuration(
-                f"{ev.type_tag} ends before it starts: [{ev.start}, {ev.end}]"
+                f"event {idx}: {ev.type_tag} ends before it starts: [{ev.start}, {ev.end}]"
             )
         if not ev.participants:
-            raise NegativeDuration(f"{ev.type_tag} has no participants")
+            raise NegativeDuration(f"event {idx}: {ev.type_tag} has no participants")
         end = ev.end if ev.end > ev.start else ev.start + eps
         widened.append(RawEvent(ev.kind, ev.type_tag, ev.participants, ev.start, end))
 
@@ -184,25 +185,46 @@ def _type_matches(type_tag: str, phase_concept: str, store: OntologyStore) -> bo
 
 _Masks = Tuple[Tuple[int, ...], ...]
 _RoleClass = Tuple[Tuple[str, ...], FrozenSet[Tuple[str, str]]]  # (phase ids, slots)
-_Compiled = Tuple[_Masks, Tuple[_RoleClass, ...]]
-
-#: Compiled plans by description value, dropped with the description.
-_COMPILED: "weakref.WeakKeyDictionary[Description, _Compiled]" = weakref.WeakKeyDictionary()
 
 
-def _compile_plan(d: Description) -> _Compiled:
-    """The label masks and role classes of `d`: `masks[j][k]` is the
-    propagated label from phase j to phase k, as a 13-bit mask, in phase
-    order. Both depend on the plan alone, so they are built once per
-    distinct description value; an inconsistent plan is never stored and
-    raises TemporallyInconsistent on every call."""
-    compiled = _COMPILED.get(d)
-    if compiled is None:
-        net = compile_constraints(d)
-        ids = [p.id for p in d.phases]
-        masks = tuple(tuple(net.query_relation(a, b).mask for b in ids) for a in ids)
-        compiled = _COMPILED[d] = masks, _role_classes(d)
-    return compiled
+@dataclass(frozen=True)
+class CompiledPlan:
+    """A plan or process flow as the search reads it: its propagated network,
+    `masks[j][k]` the label from phase j to phase k as a 13-bit mask, and
+    its role classes."""
+
+    description: Description
+    network: ConstraintNetwork
+    masks: _Masks
+    classes: Tuple[_RoleClass, ...]
+
+
+class CompiledLibrary(tuple):
+    """The descriptions of a library, in order, with every plan and process
+    flow compiled once: `compiled[i]` belongs to `self[i]` and is None for a
+    configuration. `networks`, when given, holds the propagated network of
+    each description as validation left it; otherwise each is compiled
+    here, and an inconsistent plan raises TemporallyInconsistent."""
+
+    compiled: Tuple[Optional[CompiledPlan], ...]
+
+    def __new__(cls, descriptions: Iterable[Description], networks: Optional[Sequence] = None):
+        self = super().__new__(cls, descriptions)
+        if networks is None:
+            networks = [
+                None if isinstance(d, Configuration) else compile_constraints(d) for d in self
+            ]
+        self.compiled = tuple(
+            None
+            if net is None
+            else CompiledPlan(d, net, net.masks([p.id for p in d.phases]), _role_classes(d))
+            for d, net in zip(self, networks)
+        )
+        return self
+
+
+def _compile(library: Sequence[Description]) -> CompiledLibrary:
+    return library if isinstance(library, CompiledLibrary) else CompiledLibrary(library)
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
@@ -277,10 +299,10 @@ def parse(
     # between them, and each episode has its own scene.
     admitted = cache(partial(admits, scene=episode.scene, store=store))
     candidates: Dict[str, List[int]] = {}
-    for d in library:
+    for plan in filter(None, _compile(library).compiled):
+        d = plan.description
         if not d.phases:
             continue
-        masks, classes = _compile_plan(d)
         for p in d.phases:
             if p.concept not in candidates:
                 candidates[p.concept] = sorted(
@@ -290,15 +312,13 @@ def parse(
                     for pos in group
                 )
         phase_candidates = [candidates[p.concept] for p in d.phases]
-        _search(d, masks, phase_candidates, classes, [], set(), episode, bit, admitted, found)
+        _search(plan, phase_candidates, [], set(), episode, bit, admitted, found)
     return rank(found)
 
 
 def _search(
-    d: Description,
-    masks: _Masks,
+    plan: CompiledPlan,
     candidates: List[List[int]],
-    classes: Sequence[_RoleClass],
     assigned: List[Tuple[int, int]],
     used: Set[int],
     episode: Episode,
@@ -309,18 +329,19 @@ def _search(
     """Extend `assigned`, (phase index, token position) pairs, phase by
     phase; `candidates[k]` holds the positions, in episode order, of the
     tokens whose type matches phase k."""
+    d = plan.description
     k = len(assigned)
     if k == len(d.phases):
         grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in assigned}
-        for roles in _role_assignments(classes, grounding, admitted):
+        for roles in _role_assignments(plan.classes, grounding, admitted):
             out.append(_make_interpretation(d, grounding, roles, episode))
         return
     for pos in candidates[k]:
-        if pos in used or not _temporally_admissible(masks, k, pos, assigned, bit):
+        if pos in used or not _temporally_admissible(plan.masks, k, pos, assigned, bit):
             continue
         assigned.append((k, pos))
         used.add(pos)
-        _search(d, masks, candidates, classes, assigned, used, episode, bit, admitted, out)
+        _search(plan, candidates, assigned, used, episode, bit, admitted, out)
         used.discard(pos)
         assigned.pop()
 
@@ -372,12 +393,14 @@ def verify_interpretation(
     """Straight-line re-check through the parser's own predicates: phases in
     sorted order pass the type and temporal checks, and the role grounding
     is one `_role_assignments` derives for that phase assignment."""
-    by_id = {d.id: d for d in library}
+    library = _compile(library)
+    by_id = dict(zip((d.id for d in library), library.compiled))
     if interp.plan not in by_id:
         raise DanglingReference(f"unknown plan: {interp.plan}")
-    d = by_id[interp.plan]
-    if not d.phases:
-        raise DanglingReference(f"description {d.id} has no parseable phases")
+    plan = by_id[interp.plan]
+    if plan is None or not plan.description.phases:
+        raise DanglingReference(f"description {interp.plan} has no parseable phases")
+    d = plan.description
     index = {p.id: k for k, p in enumerate(d.phases)}
     positions = {t.id: pos for pos, t in enumerate(episode.tokens)}
     grounding: Dict[str, int] = {}  # phase id -> token position
@@ -391,16 +414,15 @@ def verify_interpretation(
         return False
     if len(set(grounding.values())) != len(grounding):
         return False  # not injective
-    masks, classes = _compile_plan(d)
     bit = _relation_bits(episode.tokens, episode.eps)
     assigned: List[Tuple[int, int]] = []
     for pid in sorted(grounding):
         k, pos = index[pid], grounding[pid]
         if not _type_matches(episode.tokens[pos].type_tag, d.phases[k].concept, store):
             return False
-        if not _temporally_admissible(masks, k, pos, assigned, bit):
+        if not _temporally_admissible(plan.masks, k, pos, assigned, bit):
             return False
         assigned.append((k, pos))
     tokens = {pid: episode.tokens[pos] for pid, pos in grounding.items()}
     admitted = partial(admits, scene=episode.scene, store=store)
-    return dict(interp.role_grounding) in _role_assignments(classes, tokens, admitted)
+    return dict(interp.role_grounding) in _role_assignments(plan.classes, tokens, admitted)

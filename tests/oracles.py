@@ -14,7 +14,9 @@ the library's composition table, propagation, or parser search:
   parent edges, never the store's name index or ancestor closure; bindings
   close by copying entities slot to slot until nothing changes;
 - tokenization is the per-event definition: every state event is checked
-  against every other event for a conflicting state.
+  against every other event for a conflicting state;
+- concept loading is a fixpoint: pass over the pending concept records in
+  file order, adding each whose parents are all in, until a pass adds none.
 """
 
 import math
@@ -332,15 +334,15 @@ def tokenize_oracle(raw_events, eps=0.01):
     homeomeric: no sub-interval spans a state transition.
     """
     widened = []
-    for ev in raw_events:
+    for idx, ev in enumerate(raw_events):
         if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
-            raise NegativeDuration(f"non-finite timestamps on {ev.type_tag}")
+            raise NegativeDuration(f"event {idx}: non-finite timestamps on {ev.type_tag}")
         if ev.end < ev.start:
             raise NegativeDuration(
-                f"{ev.type_tag} ends before it starts: [{ev.start}, {ev.end}]"
+                f"event {idx}: {ev.type_tag} ends before it starts: [{ev.start}, {ev.end}]"
             )
         if not ev.participants:
-            raise NegativeDuration(f"{ev.type_tag} has no participants")
+            raise NegativeDuration(f"event {idx}: {ev.type_tag} has no participants")
         end = ev.end if ev.end > ev.start else ev.start + eps
         widened.append(RawEvent(ev.kind, ev.type_tag, ev.participants, ev.start, end))
 
@@ -386,3 +388,50 @@ def _state_segments(ev, all_events):
     if cursor < ev.end:
         segments.append((cursor, ev.end))
     return segments
+
+
+def add_concepts_fixpoint(doc, store, issues):
+    """Add the concept records of a library document to `store` by repeated
+    passes in file order, appending the issues `formats` reports: repeated
+    ids, rejected concepts in add order, then, sorted by id, the concepts
+    whose parents never all arrive."""
+    from soma_kit.errors import KindMismatch, ParseError, UnknownId
+    from soma_kit.formats import _records, _required, _strings, restriction_from_json
+    from soma_kit.ontology import ConceptKind
+
+    pending = {}
+    for at, record in _records(doc, "concepts"):
+        cid = _required(record, "id", at)
+        try:
+            kind = ConceptKind(record.get("kind"))
+        except ValueError:
+            raise ParseError(f"{at}: unknown kind {record.get('kind')!r}") from None
+        if cid in pending:
+            issues.append(f"concept {cid}: duplicate-concept: id is used more than once")
+        else:
+            pending[cid] = at, record, kind, _strings(record, "parents", at)
+    while pending:
+        progressed = False
+        for cid in list(pending):
+            at, record, kind, parents = pending[cid]
+            if all(store.has_concept(p) for p in parents):
+                restriction = record.get("restriction")
+                try:
+                    store.add_concept(
+                        name=record.get("name", cid),
+                        kind=kind,
+                        parents=parents,
+                        restriction=restriction_from_json(restriction, f"{at}: restriction")
+                        if restriction
+                        else None,
+                        concept_id=cid,
+                    )
+                except (KindMismatch, UnknownId) as exc:
+                    issues.append(f"concept {cid}: {exc}")
+                del pending[cid]
+                progressed = True
+        if not progressed:
+            for cid, (_, _, _, parents) in sorted(pending.items()):
+                missing = [p for p in parents if not store.has_concept(p)]
+                issues.append(f"concept {cid}: unresolved parents {missing}")
+            break

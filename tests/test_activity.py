@@ -234,28 +234,26 @@ class TestGoals:
 
 
 class TestInterpretationSquare:
+    @staticmethod
+    def pouring_edge(store):
+        act = Entity("act1", "act1", EntityKind.ACTION, "Pouring", participants=("pot",))
+        assert store.check_classification("Pouring", act)
+        return [("Pouring", act)]
+
     def test_square_closes_on_consistent_data(self):
-        store = build_store()
-        store.add_entity(
-            Entity("act1", "act1", EntityKind.ACTION, "Pouring", participants=("pot",))
-        )
-        store.assert_classification("Pouring", "act1")
-        store.freeze()
+        store = build_store().freeze()
         plan = pouring_plan()
         situation = Situation(id="S", included_events=frozenset({"act1"}), satisfies=plan.id)
         violations = interpretation_square_violations(
-            store, [situation], {plan.id: plan}
+            [situation], {plan.id: plan}, self.pouring_edge(store)
         )
         assert violations == []
 
     def test_event_without_setting_is_reported(self):
-        store = build_store()
-        store.add_entity(
-            Entity("act1", "act1", EntityKind.ACTION, "Pouring", participants=("pot",))
-        )
-        store.assert_classification("Pouring", "act1")
-        store.freeze()
+        store = build_store().freeze()
         plan = pouring_plan()
         situation = Situation(id="S", included_events=frozenset(), satisfies=plan.id)
-        violations = interpretation_square_violations(store, [situation], {plan.id: plan})
+        violations = interpretation_square_violations(
+            [situation], {plan.id: plan}, self.pouring_edge(store)
+        )
         assert any("no setting" in v for v in violations)

@@ -160,6 +160,18 @@ class TestConstraintNetwork:
         net.constrain("A", "B", rs("b"))
         with pytest.raises(StaleNetwork):
             net.query_relation("A", "B")
+        with pytest.raises(StaleNetwork):
+            net.masks(["A", "B"])
+
+    def test_masks_match_queries(self):
+        net = ConstraintNetwork()
+        net.constrain("A", "B", rs("b m"))
+        net.constrain("B", "C", rs("o"))
+        assert net.propagate().consistent
+        order = ["C", "A", "B", "A"]
+        assert net.masks(order) == tuple(
+            tuple(net.query_relation(a, b).mask for b in order) for a in order
+        )
 
     def test_unknown_variable(self):
         net = ConstraintNetwork()

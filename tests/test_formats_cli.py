@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     FORMAT_VERSION,
@@ -17,9 +18,11 @@ from soma_kit.errors import (
     ValidationFailed,
     VersionMismatch,
 )
-from soma_kit.formats import load_episode_document, load_library_document
+from soma_kit.formats import _add_concepts, load_episode_document, load_library_document
+from soma_kit.ontology import OntologyStore
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
+from oracles import add_concepts_fixpoint
 
 
 class TestLibraryLoading:
@@ -119,6 +122,79 @@ class TestLibraryLoading:
         assert (
             f"description PouringPlan: duplicate-slot: slot id {slot_id} is used more than once"
         ) in exc.value.issues
+
+
+CONCEPT_IDS = [f"C{i}" for i in range(10)]
+
+
+@st.composite
+def concept_documents(draw):
+    """Shuffled concept records over a few ids: repeated ids, parents that
+    come later in the list, are missing (`Ghost`), are the concept itself or
+    have another kind, and restrictions that are fine, not allowed on the
+    kind, or malformed. Most records are tasks without a restriction, so
+    that chains of several passes are common."""
+    record = st.fixed_dictionaries(
+        {
+            "id": st.sampled_from(CONCEPT_IDS),
+            "kind": st.sampled_from(["task"] * 9 + ["role"]),
+            "parents": st.lists(st.sampled_from(CONCEPT_IDS + ["Ghost"]), max_size=2),
+            "restriction": st.sampled_from(
+                [None] * 12
+                + [{"op": "kind_is", "kind": "object"}, {"op": "kind_is"}, {"op": "gadget"}]
+            ),
+        }
+    )
+    return {"concepts": draw(st.permutations(draw(st.lists(record, max_size=14))))}
+
+
+def concept_load(add, doc):
+    """(issues in order, concept ids in store order) after `add`, or the
+    ParseError message."""
+    store, issues = OntologyStore(), []
+    try:
+        add(doc, store, issues)
+    except ParseError as exc:
+        return str(exc)
+    return issues, [c.id for c in store.concepts()]
+
+
+class TestConceptLoadOrder:
+    @settings(max_examples=600, deadline=None)
+    @given(concept_documents())
+    @example(
+        {
+            "concepts": [
+                {"id": "X3", "kind": "task", "parents": ["Ghost", "X0"]},
+                {"id": "X2", "kind": "task", "parents": ["X1"]},
+                {"id": "X0", "kind": "task", "parents": []},
+                {"id": "X1", "kind": "task", "parents": ["X0", "X2"]},
+            ]
+        }
+    )
+    @example(  # B waits for A, which comes later; D is added in A's pass, before B
+        {
+            "concepts": [
+                {"id": "B", "kind": "task", "parents": ["A"]},
+                {"id": "A", "kind": "task", "parents": []},
+                {"id": "D", "kind": "task", "parents": []},
+            ]
+        }
+    )
+    def test_matches_fixpoint(self, doc):
+        assert concept_load(_add_concepts, doc) == concept_load(add_concepts_fixpoint, doc)
+
+    def test_reversed_chain(self):
+        n = 300
+        doc = {
+            "concepts": [
+                {"id": f"K{i}", "kind": "task", "parents": [f"K{i - 1}"] if i else []}
+                for i in reversed(range(n))
+            ]
+        }
+        expected = [f"K{i}" for i in range(n)]
+        assert concept_load(_add_concepts, doc) == ([], expected)
+        assert concept_load(add_concepts_fixpoint, doc) == ([], expected)
 
 
 class TestRoundTrip:
@@ -277,6 +353,10 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g"}),
         "description PouringPlan: goal: missing 'desired'",
     ),
+    "goal-desired-not-objects": (
+        lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g", "desired": [1]}),
+        "description PouringPlan: goal: desired 0: expected an object, got 1",
+    ),
     "design-without-aspect": (
         lambda doc: doc["designs"][0].pop("aspect"),
         "design 0: missing 'aspect'",
@@ -341,6 +421,18 @@ MALFORMED_EPISODES = {
     "participants-not-a-list": (
         lambda doc: _set(doc["events"][0], "participants", 5),
         "event 0: participants: expected a list of strings, got 5",
+    ),
+    "infinite-time": (
+        lambda doc: _set(doc["events"][1], "end", float("inf")),
+        "event 1: non-finite timestamps on Tilting",
+    ),
+    "end-before-start": (
+        lambda doc: _set(doc["events"][1], "end", 1.0),
+        "event 1: Tilting ends before it starts: [2.0, 1.0]",
+    ),
+    "no-participants": (
+        lambda doc: _set(doc["events"][1], "participants", []),
+        "event 1: Tilting has no participants",
     ),
 }
 
@@ -474,6 +566,16 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_duplicate_scene_object_exit_1(self, capsys, tmp_path):
+        doc = json.loads(POURING_EPISODE.read_text())
+        _set(_objects(doc)[2], "id", "pot")
+        path = tmp_path / "ep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "parse", str(SEED_LIBRARY), str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "issue: scene: object 2: duplicate-object: id pot is used more than once\n"
 
     def test_unresolved_parents_exit_1(self, capsys, tmp_path):
         doc = {

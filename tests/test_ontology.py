@@ -172,12 +172,6 @@ class TestClassification:
         with pytest.raises(BranchViolation):
             store.check_classification(plan, make_pot())
 
-    def test_assert_classification_records_edge(self, store):
-        role = store.add_concept("Patient", ConceptKind.ROLE)
-        store.add_entity(make_pot())
-        record = store.assert_classification(role, "pot")
-        assert record in store.classifications()
-
     def test_classification_matches_restriction_eval(self, store):
         # metamorphic pairing: accepted iff the restriction holds
         role = store.add_concept(

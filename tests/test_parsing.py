@@ -25,13 +25,15 @@ from soma_kit import (
     Scene,
     Token,
     TokenClass,
+    load_episode,
+    load_library,
     parse,
     rank,
     tokenize,
     verify_interpretation,
 )
-from soma_kit import parsing
-from soma_kit.activity import RELATION_VOCABULARY, validate_description
+from soma_kit import activity, cli, parsing
+from soma_kit.activity import RELATION_VOCABULARY, Configuration, validate_description
 from soma_kit.allen import RelationSet, relation_from_endpoints
 from soma_kit.errors import (
     DanglingReference,
@@ -51,7 +53,7 @@ from generators import (
     random_plan,
     random_scene,
 )
-from conftest import POURING_EPISODE
+from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from oracles import parse_oracle, tokenize_oracle
 
 
@@ -273,8 +275,8 @@ def chain_plan(plan_id, *relations):
 
 
 class TestCompileOnce:
-    """`parse` reads each description's label table from a memo keyed by
-    the description's value."""
+    """`parse` reads each plan's label table from the compiled library; a
+    plain description list is compiled on the call that gets it."""
 
     def test_same_id_different_constraints_each_match_oracle(self):
         store, episode = two_reach_case()
@@ -312,22 +314,45 @@ class TestCompileOnce:
             with pytest.raises(TemporallyInconsistent):
                 parse(episode, [cycle], store)
 
-    def test_compiles_once_per_distinct_description(self, monkeypatch):
-        store, episode = two_reach_case()
+    def test_compiles_once_per_distinct_description(self, monkeypatch, capsys):
         compiled = []
-        compile_constraints = parsing.compile_constraints
+        compile_constraints = activity.compile_constraints
 
         def counted(d):
             compiled.append(d.id)
             return compile_constraints(d)
 
-        monkeypatch.setattr(parsing, "compile_constraints", counted)
-        plan = chain_plan("CountedOnce", "before")
-        twin = dataclasses.replace(plan)  # equal value, another object
-        for _ in range(3):
-            for interp in parse(episode, [plan, twin], store):
-                assert verify_interpretation(interp, episode, [twin], store)
-        assert compiled == ["CountedOnce"]
+        for module in (activity, parsing):
+            monkeypatch.setattr(module, "compile_constraints", counted)
+        store, library = load_library(SEED_LIBRARY)
+        plans = [d.id for d in library if not isinstance(d, Configuration)]
+        assert plans and compiled == plans
+        for path in (POURING_EPISODE, AMBIGUOUS_EPISODE):
+            episode = load_episode(path)
+            interps = parse(episode, library, store)
+            assert interps
+            for interp in interps:
+                assert verify_interpretation(interp, episode, library, store)
+        assert compiled == plans
+        argv = ["query", str(SEED_LIBRARY), "PouringPlan", "Approaching", "Tilting"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "o\n"
+        assert compiled == plans * 2  # the query's own load; the query compiles nothing
+
+    def test_loaded_library_and_plain_list_agree(self, seed, ambiguous_episode, pouring_episode):
+        store, library = seed
+        assert isinstance(library, parsing.CompiledLibrary)
+        plain = list(library)
+        for episode in (pouring_episode, ambiguous_episode):
+            interps = parse(episode, library, store)
+            assert interps and parse(episode, plain, store) == interps
+            for interp in interps:
+                assert verify_interpretation(interp, episode, plain, store)
+                assert verify_interpretation(interp, episode, library, store)
+            wrong = dataclasses.replace(interps[0], role_grounding=())
+            assert verify_interpretation(wrong, episode, plain, store) is verify_interpretation(
+                wrong, episode, library, store
+            )
 
 
 # The oracle enumerates every injective phase-to-token map, so a plan gets
@@ -594,5 +619,9 @@ class TestVerify:
     def test_dangling_plan(self, seed, pouring_episode):
         store, library = seed
         ghost = Interpretation("NoSuchPlan", (), (), 0.0, 0.0)
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference, match="unknown plan: NoSuchPlan"):
             verify_interpretation(ghost, pouring_episode, library, store)
+        config = Interpretation("ContactConfiguration", (), (), 0.0, 0.0)
+        for descriptions in (library, list(library)):
+            with pytest.raises(DanglingReference, match="ContactConfiguration has no parseable"):
+                verify_interpretation(config, pouring_episode, descriptions, store)
