@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from .activity import EventTypeRef
+from .activity import EventTypeRef, _slot_refs
 from .errors import SomaKitError, ValidationFailed
 from .formats import load_episode, load_library
 from .grounding import (
@@ -113,17 +113,16 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _find_ref(store, plans: Iterable[CompiledPlan], name: str) -> Optional[EventTypeRef]:
-    """First slot, walking (defined event, *phases) of each compiled plan or
-    process flow in order, whose id or concept name is `name`."""
-    for plan in plans:
-        for ref in (plan.description.defines, *plan.description.phases):
-            if ref is not None and (
-                ref.id == name
-                or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
-            ):
-                return ref
-    return None
+def _find_refs(store, plans: Iterable[CompiledPlan], name: str) -> List[EventTypeRef]:
+    """The slots, walking `_slot_refs` of each compiled plan or process flow
+    in order, whose id or concept name is `name`."""
+    return [
+        ref
+        for plan in plans
+        for ref in _slot_refs(plan.description)
+        if ref.id == name
+        or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
+    ]
 
 
 def _cmd_query(args) -> int:
@@ -132,12 +131,18 @@ def _cmd_query(args) -> int:
     if target is None:
         print(f"error: no plan or process flow named {args.plan!r}", file=sys.stderr)
         return 2
-    a = _find_ref(store, [target], args.phase_a)
-    b = _find_ref(store, [target], args.phase_b)
-    if a is None or b is None:
-        missing = args.phase_a if a is None else args.phase_b
-        print(f"error: unknown phase {missing!r}", file=sys.stderr)
-        return 2
+    refs = []
+    for name in (args.phase_a, args.phase_b):
+        found = _find_refs(store, [target], name)
+        if not found:
+            print(f"error: unknown phase {name!r}", file=sys.stderr)
+            return 2
+        if len(found) > 1:
+            ids = ", ".join(ref.id for ref in found)
+            print(f"error: ambiguous phase {name!r}: {ids}", file=sys.stderr)
+            return 2
+        refs += found
+    a, b = refs
     print(target.network.query_relation(a.id, b.id).codes())
     return 0
 
@@ -145,11 +150,11 @@ def _cmd_query(args) -> int:
 def _cmd_select(args) -> int:
     store, library = load_library(args.library)
     episode = load_episode(args.episode, eps=args.eps)
-    task_ref = _find_ref(store, filter(None, library.compiled), args.task)
-    if task_ref is None:
+    task_refs = _find_refs(store, filter(None, library.compiled), args.task)
+    if not task_refs:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2
-    selection = select_objects(task_ref, episode.scene, store)
+    selection = select_objects(task_refs[0], episode.scene, store)
     for role in sorted(selection):
         members = " ".join(sorted(selection[role]))
         if args.format == "machine":

@@ -116,6 +116,12 @@ def _required(node: dict, key: str, where: str, kind: type = str):
     return node[key]
 
 
+def _optional(node: dict, key: str, where: str, kind: type = str, default=None):
+    """`node[key]`, or `default` when it is absent or null; a value that is
+    not a `kind` is a ParseError naming `where`."""
+    return default if node.get(key) is None else _required(node, key, where, kind)
+
+
 def _strings(node: dict, key: str, where: str, required: bool = False) -> Tuple[str, ...]:
     """`node[key]` as a tuple, empty when absent (unless `required`); a value
     that is not a list of strings is a ParseError naming `where`."""
@@ -230,9 +236,10 @@ def _description_from_json(at: str, node: dict) -> Description:
     succedence without a field it needs is a ParseError naming the record."""
     did = _required(node, "id", at)
     at = f"description {did}"
-    cls = _DESCRIPTION_TYPES.get(node.get("type"))
+    tag = node.get("type")
+    cls = _DESCRIPTION_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ParseError(f"{at}: unknown description type: {node.get('type')!r}")
+        raise ParseError(f"{at}: unknown description type: {tag!r}")
     defines = node.get("defines")
     if cls is Plan and not defines:
         raise ParseError(f"{at}: missing 'defines'")
@@ -375,7 +382,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
                     concept=_required(node, "concept", at),
                     bearer_role=_required(node, "bearer", at),
                     trigger_role=_required(node, "trigger", at),
-                    background_role=node.get("background"),
+                    background_role=_optional(node, "background", at),
                 )
             )
         except (KindMismatch, UnknownId) as exc:
@@ -449,7 +456,9 @@ def _add_concepts(doc: dict, store: OntologyStore, issues: List[str]) -> None:
         if restriction:
             restriction = restriction_from_json(restriction, f"{at}: restriction")
         try:
-            store.add_concept(record.get("name", cid), kind, parents, restriction, cid)
+            store.add_concept(
+                _optional(record, "name", at, default=cid), kind, parents, restriction, cid
+            )
         except (KindMismatch, UnknownId) as exc:
             issues.append(f"concept {cid}: {exc}")
             continue
@@ -584,8 +593,8 @@ def _scene_from_json(node, issues: List[str]) -> Scene:
             Quality(
                 id=f"{eid}.q{i}",
                 type_tag=_required(q, "type", q_at),
-                value=q.get("value"),
-                units=q.get("units"),
+                value=_optional(q, "value", q_at, Real),
+                units=_optional(q, "units", q_at),
             )
             for i, (q_at, q) in enumerate(_records(record, "qualities", at))
         )
@@ -594,18 +603,20 @@ def _scene_from_json(node, issues: List[str]) -> Scene:
                 id=f"{eid}.d{i}",
                 bearer=eid,
                 disposition_type=_required(d, "type", d_at),
-                affordance=d.get("affordance"),
+                affordance=_optional(d, "affordance", d_at),
             )
             for i, (d_at, d) in enumerate(_records(record, "dispositions", at))
         )
+        name = _optional(record, "name", at, default=eid)
+        type_tag = _optional(record, "type_tag", at, default=name)
         if eid in objects:
             issues.append(f"{at}: duplicate-object: id {eid} is used more than once")
             continue
         objects[eid] = Entity(
             id=eid,
-            name=record.get("name", eid),
+            name=name,
             kind=EntityKind.OBJECT,
-            type_tag=record.get("type_tag", record.get("name", eid)),
+            type_tag=type_tag,
             qualities=qualities,
             dispositions=dispositions,
         )

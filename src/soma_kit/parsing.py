@@ -312,36 +312,36 @@ def parse(
                     for pos in group
                 )
         phase_candidates = [candidates[p.concept] for p in d.phases]
-        _search(plan, phase_candidates, [], set(), episode, bit, admitted, found)
+        found += _interpretations(plan, phase_candidates, episode, bit, admitted, [], set())
     return rank(found)
 
 
-def _search(
+def _interpretations(
     plan: CompiledPlan,
-    candidates: List[List[int]],
-    assigned: List[Tuple[int, int]],
-    used: Set[int],
+    candidates: Sequence[Sequence[int]],
     episode: Episode,
     bit: Callable[[int, int], int],
     admitted: Callable[[str, str], bool],
-    out: List[Interpretation],
-) -> None:
-    """Extend `assigned`, (phase index, token position) pairs, phase by
-    phase; `candidates[k]` holds the positions, in episode order, of the
-    tokens whose type matches phase k."""
+    assigned: List[Tuple[int, int]],
+    used: Set[int],
+) -> Iterable[Interpretation]:
+    """Every interpretation that extends `assigned`, (phase index, token
+    position) pairs, phase by phase and injectively; `candidates[k]` holds
+    the positions, in episode order, of the tokens whose type matches
+    phase k."""
     d = plan.description
     k = len(assigned)
     if k == len(d.phases):
         grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in assigned}
         for roles in _role_assignments(plan.classes, grounding, admitted):
-            out.append(_make_interpretation(d, grounding, roles, episode))
+            yield _make_interpretation(d, grounding, roles, episode)
         return
     for pos in candidates[k]:
         if pos in used or not _temporally_admissible(plan.masks, k, pos, assigned, bit):
             continue
         assigned.append((k, pos))
         used.add(pos)
-        _search(plan, candidates, assigned, used, episode, bit, admitted, out)
+        yield from _interpretations(plan, candidates, episode, bit, admitted, assigned, used)
         used.discard(pos)
         assigned.pop()
 
@@ -367,13 +367,11 @@ def _make_interpretation(
     roles: Dict[Tuple[str, str], str],
     episode: Episode,
 ) -> Interpretation:
-    token_ids = {t.id for t in assigned.values()}
-    coverage = len(token_ids) / len(episode.tokens) if episode.tokens else 0.0
     return Interpretation(
         plan=d.id,
         phase_grounding=tuple(sorted((pid, t.id) for pid, t in assigned.items())),
         role_grounding=tuple(sorted(roles.items())),
-        coverage=coverage,
+        coverage=len(assigned) / len(episode.tokens),
         earliest_start=min(t.interval.start for t in assigned.values()),
     )
 
@@ -390,9 +388,9 @@ def verify_interpretation(
     library: Sequence[Description],
     store: OntologyStore,
 ) -> bool:
-    """Straight-line re-check through the parser's own predicates: phases in
-    sorted order pass the type and temporal checks, and the role grounding
-    is one `_role_assignments` derives for that phase assignment."""
+    """Re-derivation through the parser's own search: offered only the token
+    it grounds for each phase (none when the types do not match), the search
+    yields the interpretation's role grounding, order aside."""
     library = _compile(library)
     by_id = dict(zip((d.id for d in library), library.compiled))
     if interp.plan not in by_id:
@@ -401,28 +399,26 @@ def verify_interpretation(
     if plan is None or not plan.description.phases:
         raise DanglingReference(f"description {interp.plan} has no parseable phases")
     d = plan.description
-    index = {p.id: k for k, p in enumerate(d.phases)}
+    phase_ids = {p.id for p in d.phases}
     positions = {t.id: pos for pos, t in enumerate(episode.tokens)}
     grounding: Dict[str, int] = {}  # phase id -> token position
     for pid, tid in interp.phase_grounding:
-        if pid not in index:
+        if pid not in phase_ids:
             raise DanglingReference(f"unknown phase: {pid}")
         if tid not in positions:
             raise DanglingReference(f"unknown token: {tid}")
         grounding[pid] = positions[tid]
-    if set(grounding) != set(index):
-        return False
-    if len(set(grounding.values())) != len(grounding):
-        return False  # not injective
+    candidates = [
+        [pos]
+        if (pos := grounding.get(p.id)) is not None
+        and _type_matches(episode.tokens[pos].type_tag, p.concept, store)
+        else []
+        for p in d.phases
+    ]
     bit = _relation_bits(episode.tokens, episode.eps)
-    assigned: List[Tuple[int, int]] = []
-    for pid in sorted(grounding):
-        k, pos = index[pid], grounding[pid]
-        if not _type_matches(episode.tokens[pos].type_tag, d.phases[k].concept, store):
-            return False
-        if not _temporally_admissible(plan.masks, k, pos, assigned, bit):
-            return False
-        assigned.append((k, pos))
-    tokens = {pid: episode.tokens[pos] for pid, pos in grounding.items()}
     admitted = partial(admits, scene=episode.scene, store=store)
-    return dict(interp.role_grounding) in _role_assignments(plan.classes, tokens, admitted)
+    roles = dict(interp.role_grounding)
+    return any(
+        dict(i.role_grounding) == roles
+        for i in _interpretations(plan, candidates, episode, bit, admitted, [], set())
+    )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -381,6 +383,22 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["concepts"][1], "parents", "x"),
         "concept 1: parents: expected a list of strings, got 'x'",
     ),
+    "concept-name-not-a-string": (
+        lambda doc: _set(doc["concepts"][0], "name", [1]),
+        "concept 0: name: expected a str, got [1]",
+    ),
+    "description-type-not-a-string": (
+        lambda doc: _set(doc["descriptions"][0], "type", [1]),
+        "description PouringPlan: unknown description type: [1]",
+    ),
+    "affordance-background-a-list": (
+        lambda doc: _set(doc["affordances"][0], "background", [1]),
+        "affordance 0: background: expected a str, got [1]",
+    ),
+    "affordance-background-a-number": (
+        lambda doc: _set(doc["affordances"][0], "background", 1),
+        "affordance 0: background: expected a str, got 1",
+    ),
 }
 
 
@@ -434,7 +452,81 @@ MALFORMED_EPISODES = {
         lambda doc: _set(doc["events"][1], "participants", []),
         "event 1: Tilting has no participants",
     ),
+    "object-type-tag-not-a-string": (
+        lambda doc: _set(_objects(doc)[1], "type_tag", [1]),
+        "scene: object 1: type_tag: expected a str, got [1]",
+    ),
+    "object-name-not-a-string": (
+        lambda doc: _set(_objects(doc), 1, {"id": "bowl", "name": [1]}),
+        "scene: object 1: name: expected a str, got [1]",
+    ),
+    "quality-value-not-a-number": (
+        lambda doc: _set(_objects(doc)[1], "qualities", [{"type": "Volume", "value": "x"}]),
+        "scene: object 1: quality 0: value: expected a Real, got 'x'",
+    ),
+    "quality-units-not-a-string": (
+        lambda doc: _set(_objects(doc)[1], "qualities", [{"type": "Volume", "units": 5}]),
+        "scene: object 1: quality 0: units: expected a str, got 5",
+    ),
+    "disposition-affordance-not-a-string": (
+        lambda doc: _set(_objects(doc)[2]["dispositions"][0], "affordance", [1]),
+        "scene: object 2: disposition 0: affordance: expected a str, got [1]",
+    ),
 }
+
+
+def _json_nodes(node, path=()):
+    """The path of keys and indexes to every node below `node`."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield path + (key,)
+            yield from _json_nodes(child, path + (key,))
+
+
+SEED_DOCUMENTS = {"library": SEED_LIBRARY, "episode": POURING_EPISODE}
+SEED_NODES = [
+    (name, path)
+    for name, doc_path in SEED_DOCUMENTS.items()
+    for path in _json_nodes(json.loads(doc_path.read_text()))
+]
+# A key deleted, a value replaced by one of each JSON type, or wrapped in a list.
+NODE_EDITS = st.sampled_from(
+    [("delete", None), ("wrap", None)] + [("set", v) for v in (None, True, 0, 1.5, "x", [], {})]
+)
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SEED_NODES), NODE_EDITS)
+    @example(("library", ("concepts", 0, "name")), ("set", [1]))
+    @example(("library", ("descriptions", 0, "type")), ("set", [1]))
+    @example(("library", ("affordances", 0, "background")), ("set", [1]))
+    @example(("library", ("affordances", 0, "background")), ("set", 1))
+    @example(("episode", ("scene", "objects", 1, "type_tag")), ("set", [1]))
+    @example(("episode", ("scene", "objects", 1, "name")), ("wrap", None))
+    @example(("episode", ("scene", "objects", 2, "dispositions", 0, "affordance")), ("wrap", None))
+    def test_one_edited_node_ends_in_an_exit_code(self, tmp_path_factory, node, edit):
+        """validate, parse and select on the seed documents with one node
+        edited each return 0, 1 or 2, and no exception escapes `main`."""
+        name, path = node
+        doc = json.loads(SEED_DOCUMENTS[name].read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        op, value = edit
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = [parent[path[-1]]] if op == "wrap" else value
+        edited = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+        edited.write_text(json.dumps(doc))
+        lib = str(edited if name == "library" else SEED_LIBRARY)
+        ep = str(edited if name == "episode" else POURING_EPISODE)
+        for argv in (("validate", lib), ("parse", lib, ep), ("select", lib, ep, "Pouring")):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                with contextlib.redirect_stderr(out):
+                    assert main(list(argv)) in (0, 1, 2)
 
 
 class TestCli:
@@ -643,6 +735,26 @@ class TestCli:
             capsys, "query", str(SEED_LIBRARY), "PouringPlan", "Approaching", "Flying"
         )
         assert code == 2
+
+    def test_query_ambiguous_phase_exit_2(self, capsys, tmp_path):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        plan = doc["descriptions"][0]
+        second = dict(plan["phases"][0], id="Approaching_1")
+        plan["phases"].append(second)
+        plan["constraints"].append(
+            {"left": "Approaching_0", "relation": "before", "right": "Approaching_1"}
+        )
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "query", str(path), "PouringPlan", "Approaching", "Approaching"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ambiguous phase 'Approaching': Approaching_0, Approaching_1\n"
+        code, out, _ = run_cli(
+            capsys, "query", str(path), "PouringPlan", "Approaching_0", "Approaching_1"
+        )
+        assert (code, out) == (0, "b\n")
 
     def test_select(self, capsys):
         code, out, _ = run_cli(

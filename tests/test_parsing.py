@@ -616,6 +616,71 @@ class TestVerify:
         )
         assert not verify_interpretation(moved, pouring_episode, library, store)
 
+    def test_two_phases_on_one_token_fail(self):
+        store = build_generator_store()
+        plan = Plan(
+            "P",
+            EventTypeRef("task0", "GenericTask"),
+            (EventTypeRef("ph0", "Motion"), EventTypeRef("ph1", "Motion")),
+        )
+        token = Token("t0", TokenClass.MOTION_EVENT, "Reach", ("a",), ConcreteInterval(0.0, 1.0))
+        scene = Scene({"a": Entity("a", "a", EntityKind.OBJECT, "Thing")})
+        episode = Episode("e", (token,), scene)
+        shared = Interpretation("P", (("ph0", "t0"), ("ph1", "t0")), (), 1.0, 0.0)
+        assert not verify_interpretation(shared, episode, [plan], store)
+
+    def test_missing_phase_fails(self, seed, pouring_episode):
+        store, library = seed
+        (interp,) = parse(pouring_episode, library, store)
+        partial = dataclasses.replace(interp, phase_grounding=interp.phase_grounding[:1])
+        assert not verify_interpretation(partial, pouring_episode, library, store)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [(("Ghost_0", "t0"), "unknown phase: Ghost_0"), (("Tilting_0", "t9"), "unknown token: t9")],
+    )
+    def test_dangling_phase_or_token(self, seed, pouring_episode, pair, message):
+        store, library = seed
+        (interp,) = parse(pouring_episode, library, store)
+        ghost = dataclasses.replace(interp, phase_grounding=interp.phase_grounding[:1] + (pair,))
+        with pytest.raises(DanglingReference, match=message):
+            verify_interpretation(ghost, pouring_episode, library, store)
+
+    def test_groundings_out_of_order_pass(self, seed, pouring_episode):
+        store, library = seed
+        (interp,) = parse(pouring_episode, library, store)
+        assert len(interp.phase_grounding) > 1 and len(interp.role_grounding) > 1
+        reversed_ = dataclasses.replace(
+            interp,
+            phase_grounding=interp.phase_grounding[::-1],
+            role_grounding=interp.role_grounding[::-1],
+        )
+        assert verify_interpretation(reversed_, pouring_episode, library, store)
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_cases(), st.randoms(use_true_random=False))
+    def test_matches_oracle_under_one_mutation(self, case, rnd):
+        """Each oracle interpretation verifies, and so does a copy with one
+        phase's token or one slot's entity replaced iff the oracle has it."""
+        store, library, episode = case
+        expected = parse_oracle(episode, library, store)
+        token_ids = [t.id for t in episode.tokens]
+        entities = sorted(episode.scene.objects)
+        for plan, phases, roles in sorted(expected)[:40]:
+            assert verify_interpretation(
+                Interpretation(plan, phases, roles, 0.0, 0.0), episode, library, store
+            )
+            if roles and rnd.random() < 0.5:
+                k = rnd.randrange(len(roles))
+                roles = roles[:k] + ((roles[k][0], rnd.choice(entities)),) + roles[k + 1:]
+            else:
+                k = rnd.randrange(len(phases))
+                phases = phases[:k] + ((phases[k][0], rnd.choice(token_ids)),) + phases[k + 1:]
+            mutant = Interpretation(plan, phases, roles, 0.0, 0.0)
+            assert verify_interpretation(mutant, episode, library, store) == (
+                (plan, phases, roles) in expected
+            )
+
     def test_dangling_plan(self, seed, pouring_episode):
         store, library = seed
         ghost = Interpretation("NoSuchPlan", (), (), 0.0, 0.0)
