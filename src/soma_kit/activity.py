@@ -244,6 +244,10 @@ def validate_and_compile(
                     issues.append(
                         ValidationIssue("unknown-phase", f"constraint references {side}")
                     )
+            if c.left == c.right:
+                issues.append(
+                    ValidationIssue("self-constraint", f"{c.left} is constrained against itself")
+                )
             if c.relation.is_empty:
                 issues.append(
                     ValidationIssue("empty-relation", f"{c.left}/{c.right} label is empty")

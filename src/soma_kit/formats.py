@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from numbers import Real
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .activity import (
     Binding,
@@ -70,6 +71,8 @@ def _read_json(path: Union[str, Path]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return doc
@@ -107,19 +110,39 @@ def _require_key(node: dict, key: str, where: str) -> None:
         raise ParseError(f"{where}: missing {key!r}")
 
 
+def _number(value) -> Optional[float]:
+    """`value` as a float if it is a JSON number, else None. `json` reads
+    numbers as ints and floats; a bool is no number, though Python counts it
+    as an int, and an int too large for a float reads as ±inf, as `json`
+    reads a literal such as 1e400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _required(node: dict, key: str, where: str, kind: type = str):
-    """`node[key]`; a missing key or a value that is not a `kind` is a
-    ParseError naming `where`."""
+    """`node[key]`; a missing key or a value that is not a `kind` (for
+    `Real`, a JSON number) is a ParseError naming `where`."""
     _require_key(node, key, where)
-    if not isinstance(node[key], kind):
-        raise ParseError(f"{where}: {key}: expected a {kind.__name__}, got {node[key]!r}")
-    return node[key]
+    value = node[key]
+    if not (_number(value) is not None if kind is Real else isinstance(value, kind)):
+        raise ParseError(f"{where}: {key}: expected a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _optional(node: dict, key: str, where: str, kind: type = str, default=None):
     """`node[key]`, or `default` when it is absent or null; a value that is
     not a `kind` is a ParseError naming `where`."""
     return default if node.get(key) is None else _required(node, key, where, kind)
+
+
+def _optional_restriction(node: dict, key: str, where: str) -> Optional[Restriction]:
+    """The restriction under `key`, or None when it is absent or null."""
+    value = _optional(node, key, where, object)
+    return None if value is None else restriction_from_json(value, f"{where}: {key}")
 
 
 def _strings(node: dict, key: str, where: str, required: bool = False) -> Tuple[str, ...]:
@@ -154,8 +177,8 @@ def restriction_from_json(node: dict, at: str = "restriction") -> Restriction:
         return HasDisposition(_required(node, "disposition", at))
     if op == "region_within":
         return RegionWithin(
-            float(_required(node, "lo", at, Real)),
-            float(_required(node, "hi", at, Real)),
+            _number(_required(node, "lo", at, Real)),
+            _number(_required(node, "hi", at, Real)),
             _required(node, "units", at),
         )
     if op in ("and", "or"):
@@ -240,12 +263,12 @@ def _description_from_json(at: str, node: dict) -> Description:
     cls = _DESCRIPTION_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ParseError(f"{at}: unknown description type: {tag!r}")
-    defines = node.get("defines")
-    if cls is Plan and not defines:
+    defines = _optional(node, "defines", at, dict)
+    if cls is Plan and defines is None:
         raise ParseError(f"{at}: missing 'defines'")
-    if defines:
-        defines = _ref_from_json(f"{at}: defines", _required(node, "defines", at, dict))
-    fields = {"id": did, "defines": defines or None}
+    if defines is not None:
+        defines = _ref_from_json(f"{at}: defines", defines)
+    fields = {"id": did, "defines": defines}
     constraints = _records(node, "constraints", at)
     if cls is Configuration:
         fields["constraints"] = tuple(
@@ -274,13 +297,12 @@ def _description_from_json(at: str, node: dict) -> Description:
         fields["succedences"] = tuple(
             ConditionalSuccedence(
                 *(_required(s, key, s_at) for key in ("id", "earlier", "later")),
-                restriction_from_json(s["condition"], f"{s_at}: condition")
-                if s.get("condition")
-                else None,
+                _optional_restriction(s, "condition", s_at),
             )
             for s_at, s in _records(node, "succedences", at)
         )
-        fields["goal"] = _goal_from_json(node, at) if node.get("goal") else None
+        goal = _optional(node, "goal", at, dict)
+        fields["goal"] = None if goal is None else _goal_from_json(goal, f"{at}: goal")
     return cls(**fields)
 
 
@@ -293,9 +315,7 @@ def _binding_slots(node: dict, at: str) -> FrozenSet[Tuple[str, str]]:
     return frozenset(map(tuple, slots))
 
 
-def _goal_from_json(node: dict, at: str) -> Goal:
-    goal = _required(node, "goal", at, dict)
-    at = f"{at}: goal"
+def _goal_from_json(goal: dict, at: str) -> Goal:
     return Goal(
         _required(goal, "id", at),
         tuple(
@@ -452,9 +472,7 @@ def _add_concepts(doc: dict, store: OntologyStore, issues: List[str]) -> None:
         npass, pos = heapq.heappop(ready)
         cid = ids[pos]
         at, record, kind, parents = records[cid]
-        restriction = record.get("restriction") or None
-        if restriction:
-            restriction = restriction_from_json(restriction, f"{at}: restriction")
+        restriction = _optional_restriction(record, "restriction", at)
         try:
             store.add_concept(
                 _optional(record, "name", at, default=cid), kind, parents, restriction, cid
@@ -575,10 +593,10 @@ def _event_times(at: str, node: dict) -> Tuple[float, float]:
 def _event_time(at: str, node: dict, key: str) -> float:
     if key not in node:
         raise ParseError(f"{at}: missing {key!r} (give start/end or a timestamp)")
-    try:
-        return float(node[key])
-    except (TypeError, ValueError):
-        raise ParseError(f"{at}: {key} is not a number: {node[key]!r}") from None
+    t = _number(node[key])
+    if t is None:
+        raise ParseError(f"{at}: {key} is not a number: {node[key]!r}")
+    return t
 
 
 def _scene_from_json(node, issues: List[str]) -> Scene:

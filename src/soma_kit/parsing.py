@@ -84,10 +84,10 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
     A state event is split by any other state event over the same
     participants that carries a different type tag, so every state token is
     homeomeric: no sub-interval spans a state transition. A point event is
-    widened to [t, t + eps], so eps must be positive and finite; any other
-    eps raises DegenerateInterval. An event with a non-finite time, an end
-    before its start or no participants raises NegativeDuration naming its
-    index (`event 3: Tilting has no participants`).
+    widened to [t, t + eps]: an eps that is not positive and finite, or a t
+    too far from 0 to widen, raises DegenerateInterval. An event with a
+    non-finite time, an end before its start or no participants raises
+    NegativeDuration naming its index (`event 3: Tilting has no participants`).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DegenerateInterval(f"eps must be a positive finite number, got {eps!r}")
@@ -102,6 +102,8 @@ def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
         if not ev.participants:
             raise NegativeDuration(f"event {idx}: {ev.type_tag} has no participants")
         end = ev.end if ev.end > ev.start else ev.start + eps
+        if not end > ev.start:
+            raise DegenerateInterval(f"event {idx}: {ev.type_tag} at {ev.start} is too far from 0")
         widened.append(RawEvent(ev.kind, ev.type_tag, ev.participants, ev.start, end))
 
     cuts = _state_cuts(widened)
@@ -174,13 +176,11 @@ def _state_segments(ev: RawEvent, cuts: Sequence[_Cut]) -> List[Tuple[float, flo
     return segments
 
 
-def _type_matches(type_tag: str, phase_concept: str, store: OntologyStore) -> bool:
-    """Subsumption-aware match of a token's ground type tag against the
-    phase's event-type concept."""
-    for c in store.concepts_named(type_tag):
-        if c.kind in EVENT_CONCEPT_KINDS and store.is_subsumed_by(c.id, phase_concept):
-            return True
-    return False
+def _event_types(tag: str, store: OntologyStore) -> FrozenSet[str]:
+    """Every concept that subsumes an event concept named `tag`: a phase
+    fits a token iff its concept is in the set of the token's type tag."""
+    named = (c.id for c in store.concepts_named(tag) if c.kind in EVENT_CONCEPT_KINDS)
+    return frozenset().union(*map(store.ancestors, named))
 
 
 _Masks = Tuple[Tuple[int, ...], ...]
@@ -243,23 +243,14 @@ def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
     )
 
 
-def _relation_bits(tokens: Sequence[Token], eps: float) -> Callable[[int, int], int]:
-    """Bit of the observed relation between two tokens, by episode position,
-    memoized for one call; 0 when either collapses under eps, since widened
-    point tokens cannot anchor temporal labels."""
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def bit(a: int, b: int) -> int:
-        hit = memo.get((a, b))
-        if hit is None:
-            try:
-                hit = relation_from_endpoints(tokens[a].interval, tokens[b].interval, eps).bit
-            except DegenerateInterval:
-                hit = 0
-            memo[a, b] = hit
-        return hit
-
-    return bit
+def _relation_bit(tokens: Sequence[Token], eps: float, a: int, b: int) -> int:
+    """Bit of the observed relation between two tokens, by episode position;
+    0 when either collapses under eps, since widened point tokens cannot
+    anchor temporal labels."""
+    try:
+        return relation_from_endpoints(tokens[a].interval, tokens[b].interval, eps).bit
+    except DegenerateInterval:
+        return 0
 
 
 def _role_assignments(
@@ -290,29 +281,23 @@ def parse(
     """Every interpretation of the episode under the plan library, ranked."""
     found: List[Interpretation] = []
     tokens = episode.tokens
-    bit = _relation_bits(tokens, episode.eps)
-    by_tag: Dict[str, List[int]] = {}
-    for pos, t in enumerate(tokens):
-        by_tag.setdefault(t.type_tag, []).append(pos)
-    # Each (type tag, phase concept) and (role, entity) pair is decided once
-    # per call, never across calls: the store may be unfrozen and change
-    # between them, and each episode has its own scene.
+    # Each question below is answered once per call, never across calls: the
+    # store may be unfrozen and change between them, and episodes differ.
+    bit = cache(partial(_relation_bit, tokens, episode.eps))
+    event_types = cache(partial(_event_types, store=store))
     admitted = cache(partial(admits, scene=episode.scene, store=store))
-    candidates: Dict[str, List[int]] = {}
+
+    @cache
+    def fitting(concept: str) -> List[int]:
+        """Positions, in episode order, of the tokens a phase of `concept` fits."""
+        cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
+        return [pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag)]
+
     for plan in filter(None, _compile(library).compiled):
         d = plan.description
-        if not d.phases:
-            continue
-        for p in d.phases:
-            if p.concept not in candidates:
-                candidates[p.concept] = sorted(
-                    pos
-                    for tag, group in by_tag.items()
-                    if _type_matches(tag, p.concept, store)
-                    for pos in group
-                )
-        phase_candidates = [candidates[p.concept] for p in d.phases]
-        found += _interpretations(plan, phase_candidates, episode, bit, admitted, [], set())
+        if d.phases:
+            candidates = [fitting(p.concept) for p in d.phases]
+            found += _interpretations(plan, candidates, episode, bit, admitted, [], set())
     return rank(found)
 
 
@@ -411,11 +396,11 @@ def verify_interpretation(
     candidates = [
         [pos]
         if (pos := grounding.get(p.id)) is not None
-        and _type_matches(episode.tokens[pos].type_tag, p.concept, store)
+        and store.concept(p.concept).id in _event_types(episode.tokens[pos].type_tag, store)
         else []
         for p in d.phases
     ]
-    bit = _relation_bits(episode.tokens, episode.eps)
+    bit = partial(_relation_bit, episode.tokens, episode.eps)
     admitted = partial(admits, scene=episode.scene, store=store)
     roles = dict(interp.role_grounding)
     return any(

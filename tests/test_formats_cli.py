@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import math
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     FORMAT_VERSION,
+    RawEvent,
+    TokenClass,
     dumps_canonical,
     load_episode,
     load_library,
+    serialize_episode,
     serialize_library,
 )
 from soma_kit.cli import main
@@ -20,8 +25,15 @@ from soma_kit.errors import (
     ValidationFailed,
     VersionMismatch,
 )
-from soma_kit.formats import _add_concepts, load_episode_document, load_library_document
-from soma_kit.ontology import OntologyStore
+from soma_kit.formats import (
+    _add_concepts,
+    _event_times,
+    load_episode_document,
+    load_library_document,
+    restriction_from_json,
+    restriction_to_json,
+)
+from soma_kit.ontology import EntityKind, HasDisposition, KindIs, OntologyStore, Or, RegionWithin
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from oracles import add_concepts_fixpoint
@@ -199,6 +211,22 @@ class TestConceptLoadOrder:
         assert concept_load(add_concepts_fixpoint, doc) == ([], expected)
 
 
+MIXING_EPISODE = pathlib.Path(__file__).resolve().parent / "golden" / "mixing_episode.json"
+
+
+def raw_events(doc):
+    """The raw events of an episode document, point events as (t, t)."""
+    return [
+        RawEvent(
+            TokenClass(e["class"]),
+            e["type"],
+            tuple(e["participants"]),
+            *_event_times(f"event {i}", e),
+        )
+        for i, e in enumerate(doc["events"])
+    ]
+
+
 class TestRoundTrip:
     def test_serialize_load_fixpoint(self, seed):
         store, descriptions = seed
@@ -213,6 +241,33 @@ class TestRoundTrip:
         a = dumps_canonical(serialize_library(store, descriptions))
         b = dumps_canonical(serialize_library(store, descriptions))
         assert a == b
+
+    @pytest.mark.parametrize("path", [POURING_EPISODE, AMBIGUOUS_EPISODE, MIXING_EPISODE])
+    def test_episode_serialize_load_fixpoint(self, path):
+        doc = json.loads(path.read_text())
+        episode = load_episode_document(doc)
+        doc1 = serialize_episode(episode, raw_events(doc))
+        episode2 = load_episode_document(doc1)
+        doc2 = serialize_episode(episode2, raw_events(doc1))
+        assert dumps_canonical(doc1) == dumps_canonical(doc2)
+        assert (episode2.tokens, episode2.scene) == (episode.tokens, episode.scene)
+
+    def test_or_restriction_round_trip(self):
+        r = Or((HasDisposition("Containment"), KindIs(EntityKind.OBJECT)))
+        node = restriction_to_json(r)
+        assert node == {
+            "op": "or",
+            "items": [
+                {"op": "has_disposition", "disposition": "Containment"},
+                {"op": "kind_is", "kind": "object"},
+            ],
+        }
+        assert restriction_from_json(node) == r
+
+    def test_integer_too_large_for_a_float_reads_as_infinity(self):
+        node = {"op": "region_within", "lo": -(10**400), "hi": 10**400, "units": "m/s"}
+        assert restriction_from_json(node) == RegionWithin(-math.inf, math.inf, "m/s")
+
 
 
 class TestEpisodeLoading:
@@ -399,6 +454,40 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["affordances"][0], "background", 1),
         "affordance 0: background: expected a str, got 1",
     ),
+    "restriction-false": (
+        lambda doc: _set(doc["concepts"][7], "restriction", False),
+        "concept 7: restriction: expected an object, got False",
+    ),
+    "restriction-empty-object": (
+        lambda doc: _set(doc["concepts"][7], "restriction", {}),
+        "concept 7: restriction: unknown restriction op: None",
+    ),
+    "succedence-condition-zero": (
+        lambda doc: _set(
+            doc["descriptions"][0],
+            "succedences",
+            [{"id": "s", "earlier": "Approaching_0", "later": "Tilting_0", "condition": 0}],
+        ),
+        "description PouringPlan: succedence 0: condition: expected an object, got 0",
+    ),
+    "goal-empty-list": (
+        lambda doc: _set(doc["descriptions"][0], "goal", []),
+        "description PouringPlan: goal: expected a dict, got []",
+    ),
+    "process-flow-defines-empty-string": (
+        lambda doc: doc["descriptions"].append(
+            {"id": "Flow", "type": "process_flow", "defines": "", "phases": [], "constraints": []}
+        ),
+        "description Flow: defines: expected a dict, got ''",
+    ),
+    "region-lo-true": (
+        lambda doc: _set(doc["concepts"][11]["restriction"], "lo", True),
+        "concept 11: restriction: lo: expected a Real, got True",
+    ),
+    "region-hi-true": (
+        lambda doc: _set(doc["concepts"][11]["restriction"], "hi", True),
+        "concept 11: restriction: hi: expected a Real, got True",
+    ),
 }
 
 
@@ -471,6 +560,99 @@ MALFORMED_EPISODES = {
     "disposition-affordance-not-a-string": (
         lambda doc: _set(_objects(doc)[2]["dispositions"][0], "affordance", [1]),
         "scene: object 2: disposition 0: affordance: expected a str, got [1]",
+    ),
+    "start-a-numeric-string": (
+        lambda doc: _set(doc["events"][0], "start", "0.0"),
+        "event 0: start is not a number: '0.0'",
+    ),
+    "end-a-boolean": (
+        lambda doc: _set(doc["events"][0], "end", True),
+        "event 0: end is not a number: True",
+    ),
+    "quality-value-true": (
+        lambda doc: _set(_objects(doc)[1], "qualities", [{"type": "Volume", "value": True}]),
+        "scene: object 1: quality 0: value: expected a Real, got True",
+    ),
+    "point-event-too-far-from-0": (
+        lambda doc: _set(
+            doc["events"],
+            0,
+            {"class": "motion", "type": "Approaching", "participants": ["bowl"], "timestamp": 1e17},
+        ),
+        "event 0: Approaching at 1e+17 is too far from 0",
+    ),
+    "start-too-large-for-a-float": (
+        lambda doc: _set(doc["events"][0], "start", 10**400),
+        "event 0: non-finite timestamps on Approaching",
+    ),
+}
+
+
+def _phase(doc, i=0):
+    return doc["descriptions"][0]["phases"][i]
+
+
+def _goal(state, *roles):
+    return {"id": "g", "desired": [{"state": state, "roles": list(roles)}]}
+
+
+# defect -> (edit of the seed library document, the one `issue:` line of `validate`)
+VALIDATION_ISSUES = {
+    "phase-concept-not-an-event-type": (
+        lambda doc: _set(_phase(doc), "concept", "Patient"),
+        "PouringPlan: kind-mismatch: Approaching_0 must reference a task/process/state concept",
+    ),
+    "unknown-role": (
+        lambda doc: _set(_phase(doc), "roles", ["Ghost"]),
+        "PouringPlan: unknown-role: Approaching_0 uses Ghost",
+    ),
+    "role-not-a-role": (
+        lambda doc: _set(_phase(doc), "roles", ["Motion"]),
+        "PouringPlan: kind-mismatch: Motion is not a Role",
+    ),
+    "unknown-parameter": (
+        lambda doc: _set(_phase(doc), "parameters", ["Ghost"]),
+        "PouringPlan: unknown-parameter: Approaching_0 uses Ghost",
+    ),
+    "parameter-not-a-parameter": (
+        lambda doc: _set(_phase(doc), "parameters", ["Patient"]),
+        "PouringPlan: kind-mismatch: Patient is not a Parameter",
+    ),
+    "empty-relation": (
+        lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", []),
+        "PouringPlan: empty-relation: Approaching_0/Tilting_0 label is empty",
+    ),
+    "unknown-state-relation": (
+        lambda doc: _set(doc["descriptions"][1]["constraints"][0], "relation", "near"),
+        "ContactConfiguration: unknown-state-relation: unsupported relation near",
+    ),
+    "self-succedence": (
+        lambda doc: _set(
+            doc["descriptions"][0],
+            "succedences",
+            [{"id": "s", "earlier": "Tilting_0", "later": "Tilting_0"}],
+        ),
+        "PouringPlan: self-succedence: s relates a task to itself",
+    ),
+    "succedence-unknown-phase": (
+        lambda doc: _set(
+            doc["descriptions"][0],
+            "succedences",
+            [{"id": "s", "earlier": "Ghost_0", "later": "Tilting_0"}],
+        ),
+        "PouringPlan: unknown-phase: succedence references Ghost_0",
+    ),
+    "goal-unknown-concept": (
+        lambda doc: _set(doc["descriptions"][0], "goal", _goal("Ghost")),
+        "PouringPlan: unknown-concept: goal references Ghost",
+    ),
+    "goal-kind-mismatch": (
+        lambda doc: _set(doc["descriptions"][0], "goal", _goal("Motion")),
+        "PouringPlan: kind-mismatch: Motion is not a StateType",
+    ),
+    "goal-unknown-role": (
+        lambda doc: _set(doc["descriptions"][0], "goal", _goal("Contact", "Ghost")),
+        "PouringPlan: unknown-role: goal binds unknown role Ghost",
     ),
 }
 
@@ -658,6 +840,48 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("defect", list(VALIDATION_ISSUES))
+    def test_validation_issue_exit_1(self, capsys, tmp_path, defect):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        edit, issue = VALIDATION_ISSUES[defect]
+        edit(doc)
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out, err) == (1, f"issue: description {issue}\ninvalid: 1 issue(s)\n", "")
+
+    def test_self_constraint_exit_1(self, capsys, tmp_path):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"][0]["constraints"][0]["left"] = "Approaching_0"
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        lib, ep = str(path), str(POURING_EPISODE)
+        issue = (
+            "issue: description PouringPlan: self-constraint: "
+            "Approaching_0 is constrained against itself\n"
+        )
+        assert run_cli(capsys, "validate", lib) == (1, issue + "invalid: 1 issue(s)\n", "")
+        for argv in (
+            ("parse", lib, ep),
+            ("select", lib, ep, "Pouring"),
+            ("query", lib, "PouringPlan", "Approaching", "Tilting"),
+        ):
+            assert run_cli(capsys, *argv) == (1, "", issue)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"version": 1' + "0" * 5000 + "}"],
+        ids=["too-deep", "too-many-digits"],
+    )
+    def test_unreadable_json_exit_2(self, capsys, tmp_path, text):
+        # Nesting past the recursion limit, and an integer literal past the
+        # interpreter's digit limit where it has one.
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ")
 
     def test_duplicate_scene_object_exit_1(self, capsys, tmp_path):
         doc = json.loads(POURING_EPISODE.read_text())

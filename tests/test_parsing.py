@@ -40,8 +40,9 @@ from soma_kit.errors import (
     DegenerateInterval,
     NegativeDuration,
     TemporallyInconsistent,
+    UnknownId,
 )
-from soma_kit.formats import load_episode_document
+from soma_kit.formats import load_episode_document, load_library_document
 
 from generators import (
     MOTIONS,
@@ -54,7 +55,7 @@ from generators import (
     random_scene,
 )
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
-from oracles import parse_oracle, tokenize_oracle
+from oracles import parse_oracle, tokenize_oracle, type_matches_oracle
 
 
 def interp_key(i: Interpretation):
@@ -168,6 +169,16 @@ class TestTokenize:
     def test_matches_per_event_definition(self, raws, eps):
         assert token_dump(tokenize(raws, eps)) == token_dump(tokenize_oracle(raws, eps))
 
+    @pytest.mark.parametrize("t", [1e17, 2.0**53])
+    def test_point_event_too_far_from_0_to_widen(self, t):
+        raw = [
+            RawEvent(TokenClass.MOTION_EVENT, "Reach", ("a",), 0.0, 1.0),
+            RawEvent(TokenClass.CONTACT_EVENT, "Contact", ("a",), t, t),
+        ]
+        with pytest.raises(DegenerateInterval) as exc:
+            tokenize(raw)
+        assert str(exc.value) == f"event 1: Contact at {t} is too far from 0"
+
     def test_sorted_by_start(self):
         raw = [
             RawEvent(TokenClass.MOTION_EVENT, "B", ("a",), 5.0, 6.0),
@@ -231,6 +242,82 @@ class TestParseSeed:
         assert got == parse(pouring_episode, library, store)
         assert len(got) == 1
         assert verify_interpretation(got[0], doubled, library, store)
+
+    def test_plan_without_phases_is_skipped(self, seed, pouring_episode):
+        store, library = seed
+        bare = Plan("BarePlan", library[0].defines, ())
+        with_bare = parse(pouring_episode, list(library) + [bare], store)
+        assert with_bare == parse(pouring_episode, library, store)
+
+    def test_bound_parameter_slot_grounds_to_the_bound_entity(self, pouring_episode):
+        # A parameter slot bound to a role slot takes that slot's entity:
+        # a concept that is not a Role admits every entity.
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"][0]["bindings"].append(
+            {"id": "Binding_2", "slots": [["Pouring_0", "PouringSpeed"], ["Tilting_0", "Patient"]]}
+        )
+        store, library = load_library_document(doc)
+        (interp,) = parse(pouring_episode, library, store)
+        assert dict(interp.role_grounding)[("Pouring_0", "PouringSpeed")] == "pot"
+        assert verify_interpretation(interp, pouring_episode, library, store)
+
+
+NAMES = ("A", "B", "C")
+TAXONOMY_KINDS = (
+    ConceptKind.TASK,
+    ConceptKind.PROCESS_TYPE,
+    ConceptKind.STATE_TYPE,
+    ConceptKind.ROLE,
+    ConceptKind.PARAMETER,
+)
+
+
+@st.composite
+def shared_name_taxonomies(draw):
+    """A store whose concepts take their names from NAMES, so one name may
+    label concepts of several kinds; parents are older concepts of the same
+    kind."""
+    store = OntologyStore()
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(TAXONOMY_KINDS), max_size=12))):
+        same = [c.id for c in store.concepts() if c.kind is kind]
+        parents = draw(st.lists(st.sampled_from(same), max_size=2, unique=True)) if same else []
+        store.add_concept(draw(st.sampled_from(NAMES)), kind, parents, concept_id=f"c{i}")
+    return store
+
+
+class TestEventTypes:
+    """A phase fits a token iff its concept is in `_event_types` of the
+    token's type tag."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_name_taxonomies())
+    def test_matches_type_oracle(self, store):
+        for tag in NAMES + ("Unnamed",):
+            token = Token("t0", TokenClass.MOTION_EVENT, tag, ("a",), ConcreteInterval(0.0, 1.0))
+            fits = parsing._event_types(tag, store)
+            for c in store.concepts():
+                assert (c.id in fits) == type_matches_oracle(token, c.id, store)
+
+    def test_unknown_phase_concept_raises(self):
+        store, episode = two_reach_case()
+        plan = Plan("P", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Ghost"),))
+        with pytest.raises(UnknownId, match="unknown concept: Ghost"):
+            parse(episode, [plan], store)
+        interp = Interpretation("P", (("ph0", "t0"),), (), 0.5, 0.0)
+        with pytest.raises(UnknownId, match="unknown concept: Ghost"):
+            verify_interpretation(interp, episode, [plan], store)
+
+    def test_store_change_between_calls_is_seen(self):
+        # Type matches are cached per call only, so a concept added to an
+        # unfrozen store between two calls counts in the second.
+        store = OntologyStore()
+        store.add_concept("Motion", ConceptKind.PROCESS_TYPE, concept_id="Motion")
+        store.add_concept("GenericTask", ConceptKind.TASK, concept_id="GenericTask")
+        _, episode = two_reach_case()
+        plan = Plan("P", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Motion"),))
+        assert parse(episode, [plan], store) == []
+        store.add_concept("Reach", ConceptKind.PROCESS_TYPE, parents={"Motion"}, concept_id="Reach")
+        assert len(parse(episode, [plan], store)) == 2
 
 
 class TestParseOracle:
