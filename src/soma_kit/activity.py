@@ -11,10 +11,10 @@ process type or a state type) and answers `phases`, `bindings` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
-from .errors import MissingSlot, TemporallyInconsistent
+from .errors import MissingSlot, TemporallyInconsistent, ValidationFailed
 from .ontology import (
     ConceptKind,
     EVENT_CONCEPT_KINDS,
@@ -239,15 +239,7 @@ def validate_and_compile(
             )
     for c in d.constraints:
         if isinstance(c, PhaseConstraint):
-            for side in (c.left, c.right):
-                if side not in phase_ids:
-                    issues.append(
-                        ValidationIssue("unknown-phase", f"constraint references {side}")
-                    )
-            if c.left == c.right:
-                issues.append(
-                    ValidationIssue("self-constraint", f"{c.left} is constrained against itself")
-                )
+            issues += _endpoint_issues(c, phase_ids)
             if c.relation.is_empty:
                 issues.append(
                     ValidationIssue("empty-relation", f"{c.left}/{c.right} label is empty")
@@ -273,11 +265,7 @@ def validate_and_compile(
                     ValidationIssue("unknown-binding-slot", f"binding {b.id} references {slot}")
                 )
     for s in d.succedences:
-        if s.earlier == s.later:
-            issues.append(ValidationIssue("self-succedence", f"{s.id} relates a task to itself"))
-        for side in (s.earlier, s.later):
-            if side not in phase_ids:
-                issues.append(ValidationIssue("unknown-phase", f"succedence references {side}"))
+        issues += _endpoint_issues(s, phase_ids)
     if isinstance(d, Plan) and d.goal is not None:
         plan_roles = {rid for ref in refs for rid in ref.uses_roles}
         for state_type, roles in d.goal.desired:
@@ -303,11 +291,28 @@ def validate_and_compile(
     return issues, net
 
 
+def _endpoint_issues(r, slot_ids: Set[str]) -> Iterator[ValidationIssue]:
+    """Issues of a phase constraint or succedence `r` that does not relate
+    two distinct slots of its description."""
+    record = "succedence" if isinstance(r, ConditionalSuccedence) else "constraint"
+    ends = (r.earlier, r.later) if record == "succedence" else (r.left, r.right)
+    if record == "succedence" and ends[0] == ends[1]:
+        yield ValidationIssue("self-succedence", f"{r.id} relates a task to itself")
+    for side in ends:
+        if side not in slot_ids:
+            yield ValidationIssue("unknown-phase", f"{record} references {side}")
+    if record == "constraint" and ends[0] == ends[1]:
+        yield ValidationIssue("self-constraint", f"{r.left} is constrained against itself")
+
+
 def compile_constraints(d: Description) -> ConstraintNetwork:
-    """Interval network of a plan or process flow: one variable per phase
-    plus one for the whole defined event, propagated to fixpoint."""
+    """Interval network of a plan or process flow, one variable per phase plus one for the
+    whole defined event, propagated to fixpoint; endpoint issues raise ValidationFailed."""
     if isinstance(d, Configuration):
         raise TypeError("configurations carry no temporal structure")
+    ids = {ref.id for ref in _slot_refs(d)}
+    if issues := [i for r in (*d.constraints, *d.succedences) for i in _endpoint_issues(r, ids)]:
+        raise ValidationFailed(f"description {d.id}: {issue}" for issue in issues)
     net = ConstraintNetwork()
     whole: Optional[str] = d.defines.id if d.defines is not None else None
     if whole is not None:

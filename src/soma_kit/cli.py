@@ -23,7 +23,7 @@ from .grounding import (
     force_outcome,
     select_objects,
 )
-from .parsing import CompiledPlan, parse as parse_episode
+from .parsing import DEFAULT_EPS, CompiledPlan, parse as parse_episode
 
 
 def _eps(text: str) -> float:
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse an episode against a plan library")
     p.add_argument("library")
     p.add_argument("episode")
-    p.add_argument("--eps", type=_eps, default=0.01)
+    p.add_argument("--eps", type=_eps, default=DEFAULT_EPS)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--format", choices=("text", "machine"), default="text")
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("library")
     p.add_argument("episode")
     p.add_argument("task")
-    p.add_argument("--eps", type=_eps, default=0.01)
+    p.add_argument("--eps", type=_eps, default=DEFAULT_EPS)
     p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("force", help="force-dynamics outcome classification")

@@ -54,7 +54,7 @@ from .ontology import (
     Restriction,
     TypeTagIn,
 )
-from .parsing import CompiledLibrary, Episode, RawEvent, TokenClass, tokenize
+from .parsing import DEFAULT_EPS, CompiledLibrary, Episode, RawEvent, TokenClass, tokenize
 
 FORMAT_VERSION = "soma-kit/1"
 
@@ -531,14 +531,16 @@ def serialize_library(store: OntologyStore, descriptions: Sequence[Description])
 # --- episodes ---------------------------------------------------------------------
 
 
-def load_episode(path: Union[str, Path], eps: float = 0.01) -> Episode:
+def load_episode(path: Union[str, Path], eps: float = DEFAULT_EPS) -> Episode:
     """Load an episode document, tokenizing its raw events."""
     doc = _read_json(path)
     _check_version(doc, path)
     return load_episode_document(doc, eps=eps, episode_id=Path(path).stem)
 
 
-def load_episode_document(doc: dict, eps: float = 0.01, episode_id: str = "episode") -> Episode:
+def load_episode_document(
+    doc: dict, eps: float = DEFAULT_EPS, episode_id: str = "episode"
+) -> Episode:
     """Episode of a parsed document. A scene, object, quality, disposition
     or event record of the wrong type or without a key it needs (`id`,
     `type`, `class`), or an event whose `type` is not a string or whose

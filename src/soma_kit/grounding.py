@@ -1,6 +1,6 @@
-"""Grounding queries: which scene objects can play a task's roles, what a
-force-dynamic configuration entails, and whether parameter values satisfy
-their knowledge pre-conditions.
+"""Grounding queries: which scene objects can play a task's roles, and what
+a force-dynamic configuration entails. Whether a parameter value satisfies
+its region is `OntologyStore.check_parameter`.
 """
 
 from __future__ import annotations

@@ -406,25 +406,23 @@ class OntologyStore:
         return self.satisfies_restriction(e, self.design(design_concept).quality_restriction)
 
     def check_parameter(self, parameter_id: str, value: float, units: str) -> bool:
-        """Does a numeric value (with unit tag) satisfy a parameter's region?"""
+        """Whether the parameter classifies a region of this value and units;
+        UnitMismatch when it bounds regions and none of them is in `units`."""
         concept = self.concept(parameter_id)
         if concept.kind is not ConceptKind.PARAMETER:
             raise KindMismatch(f"{parameter_id} is not a Parameter concept")
-        if concept.restriction is None:
-            return True
-        return _eval_parameter(concept.restriction, value, units)
+        bounded = _region_units(concept.restriction)
+        if bounded and units not in bounded:
+            raise UnitMismatch(f"expected {' or '.join(sorted(bounded))}, got {units}")
+        region = Entity("region", "region", EntityKind.REGION, "Region", value=value, units=units)
+        return bool(self.check_classification(parameter_id, region))
 
 
-def _eval_parameter(r: Restriction, value: float, units: str) -> bool:
-    if isinstance(r, RegionWithin):
-        if r.units != units:
-            raise UnitMismatch(f"expected {r.units}, got {units}")
-        return r.lo <= value <= r.hi
-    if isinstance(r, And):
-        return all(_eval_parameter(item, value, units) for item in r.items)
-    if isinstance(r, Or):
-        return any(_eval_parameter(item, value, units) for item in r.items)
-    raise KindMismatch(f"parameter restrictions must be region-based, got {r!r}")
+def _region_units(r: Optional[Restriction]) -> FrozenSet[str]:
+    """The units of every region a restriction bounds."""
+    if isinstance(r, (And, Or)):
+        return frozenset().union(*map(_region_units, r.items))
+    return frozenset({r.units}) if isinstance(r, RegionWithin) else frozenset()
 
 
 def _rejection_reason(r: Restriction) -> str:

@@ -22,6 +22,8 @@ from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene, admits
 from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
 
+DEFAULT_EPS = 0.01  # width of a widened point event; tolerance of endpoint comparisons
+
 
 class TokenClass(Enum):
     CONTACT_EVENT = "contact"
@@ -54,7 +56,7 @@ class Episode:
     id: str
     tokens: Tuple[Token, ...]
     scene: Scene
-    eps: float = 0.01
+    eps: float = DEFAULT_EPS
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class Interpretation:
         )
 
 
-def tokenize(raw_events: Sequence[RawEvent], eps: float = 0.01) -> List[Token]:
+def tokenize(raw_events: Sequence[RawEvent], eps: float = DEFAULT_EPS) -> List[Token]:
     """Widen point events, split states at interruptions, and sort.
 
     A state event is split by any other state event over the same
@@ -200,20 +202,14 @@ class CompiledPlan:
 
 
 class CompiledLibrary(tuple):
-    """The descriptions of a library, in order, with every plan and process
-    flow compiled once: `compiled[i]` belongs to `self[i]` and is None for a
-    configuration. `networks`, when given, holds the propagated network of
-    each description as validation left it; otherwise each is compiled
-    here, and an inconsistent plan raises TemporallyInconsistent."""
+    """The descriptions of a library, in order, each plan and process flow
+    compiled once from its propagated network in `networks`: `compiled[i]`
+    is `self[i]` compiled (None for a configuration, as its network is)."""
 
     compiled: Tuple[Optional[CompiledPlan], ...]
 
-    def __new__(cls, descriptions: Iterable[Description], networks: Optional[Sequence] = None):
+    def __new__(cls, descriptions: Iterable[Description], networks: Iterable):
         self = super().__new__(cls, descriptions)
-        if networks is None:
-            networks = [
-                None if isinstance(d, Configuration) else compile_constraints(d) for d in self
-            ]
         self.compiled = tuple(
             None
             if net is None
@@ -224,7 +220,11 @@ class CompiledLibrary(tuple):
 
 
 def _compile(library: Sequence[Description]) -> CompiledLibrary:
-    return library if isinstance(library, CompiledLibrary) else CompiledLibrary(library)
+    if isinstance(library, CompiledLibrary):
+        return library
+    library = tuple(library)
+    networks = [None if isinstance(d, Configuration) else compile_constraints(d) for d in library]
+    return CompiledLibrary(library, networks)
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:

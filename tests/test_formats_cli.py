@@ -851,6 +851,25 @@ class TestCli:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert (code, out, err) == (1, f"issue: description {issue}\ninvalid: 1 issue(s)\n", "")
 
+    def test_validation_issues_in_order(self, capsys, tmp_path):
+        # One constraint naming two non-slots, and one succedence relating a
+        # non-slot to itself: each record's issues, in record order.
+        doc = json.loads(SEED_LIBRARY.read_text())
+        plan = doc["descriptions"][0]
+        plan["constraints"][1].update(left="Ghost_0", right="Ghost_1")
+        plan["succedences"] = [{"id": "s", "earlier": "Ghost_2", "later": "Ghost_2"}]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        issues = [
+            "unknown-phase: constraint references Ghost_0",
+            "unknown-phase: constraint references Ghost_1",
+            "self-succedence: s relates a task to itself",
+            "unknown-phase: succedence references Ghost_2",
+            "unknown-phase: succedence references Ghost_2",
+        ]
+        out = "".join(f"issue: description PouringPlan: {issue}\n" for issue in issues)
+        assert run_cli(capsys, "validate", str(path)) == (1, out + "invalid: 5 issue(s)\n", "")
+
     def test_self_constraint_exit_1(self, capsys, tmp_path):
         doc = json.loads(SEED_LIBRARY.read_text())
         doc["descriptions"][0]["constraints"][0]["left"] = "Approaching_0"

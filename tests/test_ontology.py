@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     AffordanceSpec,
@@ -302,6 +302,31 @@ class TestAffordances:
             store.add_affordance(AffordanceSpec(aff, container, task))
 
 
+PARAMETER_UNITS = ("m/s", "cm/s")
+
+
+def region_trees():
+    """`region_within`/`and`/`or` trees over small regions in two units."""
+    regions = st.builds(
+        lambda lo, width, units: RegionWithin(lo, lo + width, units),
+        st.integers(0, 8),
+        st.integers(0, 4),
+        st.sampled_from(PARAMETER_UNITS),
+    )
+    children = lambda tree: st.lists(tree, min_size=1, max_size=3).map(tuple)
+    return st.recursive(
+        regions,
+        lambda tree: st.builds(And, children(tree)) | st.builds(Or, children(tree)),
+        max_leaves=6,
+    )
+
+
+def _bounded_units(r):
+    if isinstance(r, RegionWithin):
+        return {r.units}
+    return set().union(*(_bounded_units(item) for item in r.items))
+
+
 class TestParameters:
     def test_within_region(self):
         store = OntologyStore()
@@ -323,6 +348,21 @@ class TestParameters:
         store = OntologyStore()
         p = store.add_concept("Effort", ConceptKind.PARAMETER)
         assert store.check_parameter(p, 123.0, "N")
+
+    @given(region_trees(), st.integers(-2, 12), st.sampled_from(PARAMETER_UNITS))
+    @example(Or((RegionWithin(0, 1, "m/s"), RegionWithin(0, 100, "cm/s"))), 50, "cm/s")
+    def test_answers_as_classification_of_a_region(self, restriction, value, units):
+        # check_parameter is check_classification of a region entity of that
+        # value and units, except that units no bounded region uses mismatch.
+        store = OntologyStore()
+        p = store.add_concept("Speed", ConceptKind.PARAMETER, restriction=restriction)
+        region = Entity("region", "region", EntityKind.REGION, "Region", value=value, units=units)
+        if units in _bounded_units(restriction):
+            expected = bool(store.check_classification(p, region))
+            assert store.check_parameter(p, value, units) is expected
+        else:
+            with pytest.raises(UnitMismatch):
+                store.check_parameter(p, value, units)
 
     @given(
         st.floats(0, 1, allow_nan=False),

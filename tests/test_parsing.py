@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from soma_kit import (
     Binding,
     ConceptKind,
+    ConditionalSuccedence,
     ConcreteInterval,
     Entity,
     EntityKind,
@@ -41,6 +42,7 @@ from soma_kit.errors import (
     NegativeDuration,
     TemporallyInconsistent,
     UnknownId,
+    ValidationFailed,
 )
 from soma_kit.formats import load_episode_document, load_library_document
 
@@ -400,6 +402,32 @@ class TestCompileOnce:
         for _ in range(3):
             with pytest.raises(TemporallyInconsistent):
                 parse(episode, [cycle], store)
+
+    @pytest.mark.parametrize("defect", ["self-constraint", "non-slot", "self-succedence"])
+    def test_plain_list_malformed_endpoint_raises(self, defect):
+        # A plan built in code meets the endpoint rule validation applies to
+        # a loaded library, on every door into the search.
+        store, episode = two_reach_case()
+        plan = chain_plan("Bad", "before")
+        before = RELATION_VOCABULARY["before"]
+        if defect == "self-constraint":
+            edit = {"constraints": (PhaseConstraint("ph0", before, "ph0"),)}
+        elif defect == "non-slot":
+            edit = {"constraints": (PhaseConstraint("ph0", before, "Ghost"),)}
+        else:
+            edit = {"succedences": (ConditionalSuccedence("s", "ph1", "ph1"),)}
+        plan = dataclasses.replace(plan, **edit)
+        expected = [f"description Bad: {issue}" for issue in validate_description(plan, store)]
+        assert expected
+        interp = Interpretation("Bad", (("ph0", "t0"), ("ph1", "t1")), (), 1.0, 0.0)
+        for call in (
+            lambda: parse(episode, [plan], store),
+            lambda: verify_interpretation(interp, episode, [plan], store),
+            lambda: activity.compile_constraints(plan),
+        ):
+            with pytest.raises(ValidationFailed) as exc:
+                call()
+            assert exc.value.issues == expected
 
     def test_compiles_once_per_distinct_description(self, monkeypatch, capsys):
         compiled = []
