@@ -221,11 +221,7 @@ def validate_and_compile(
     refs = _slot_refs(d)
     phase_ids: Set[str] = set()
     for ref in refs:
-        if ref.id in phase_ids:
-            issues.append(
-                ValidationIssue("duplicate-slot", f"slot id {ref.id} is used more than once")
-            )
-        phase_ids.add(ref.id)
+        issues += _duplicate_slot_issues(ref, phase_ids)
         _check_event_type_ref(ref, store, issues)
     # Phases may be any event concept; only the defined slot must match the arm.
     if d.defines is not None and store.has_concept(d.defines.concept):
@@ -291,6 +287,15 @@ def validate_and_compile(
     return issues, net
 
 
+def _duplicate_slot_issues(ref: EventTypeRef, seen: Set[str]) -> List[ValidationIssue]:
+    """The issue of a slot whose id is in `seen`, the ids of the slots
+    before it; adds its id to `seen`."""
+    if ref.id not in seen:
+        seen.add(ref.id)
+        return []
+    return [ValidationIssue("duplicate-slot", f"slot id {ref.id} is used more than once")]
+
+
 def _endpoint_issues(r, slot_ids: Set[str]) -> Iterator[ValidationIssue]:
     """Issues of a phase constraint or succedence `r` that does not relate
     two distinct slots of its description."""
@@ -307,11 +312,14 @@ def _endpoint_issues(r, slot_ids: Set[str]) -> Iterator[ValidationIssue]:
 
 def compile_constraints(d: Description) -> ConstraintNetwork:
     """Interval network of a plan or process flow, one variable per phase plus one for the
-    whole defined event, propagated to fixpoint; endpoint issues raise ValidationFailed."""
+    whole defined event, propagated to fixpoint; duplicate-slot and endpoint issues raise
+    ValidationFailed."""
     if isinstance(d, Configuration):
         raise TypeError("configurations carry no temporal structure")
-    ids = {ref.id for ref in _slot_refs(d)}
-    if issues := [i for r in (*d.constraints, *d.succedences) for i in _endpoint_issues(r, ids)]:
+    ids: Set[str] = set()
+    issues = [i for ref in _slot_refs(d) for i in _duplicate_slot_issues(ref, ids)]
+    issues += [i for r in (*d.constraints, *d.succedences) for i in _endpoint_issues(r, ids)]
+    if issues:
         raise ValidationFailed(f"description {d.id}: {issue}" for issue in issues)
     net = ConstraintNetwork()
     whole: Optional[str] = d.defines.id if d.defines is not None else None

@@ -8,6 +8,14 @@ endpoints of three intervals and collecting which A-to-C relations co-occur
 with each (A-to-B, B-to-C) pair. Both are positional: a relation's position
 is its declaration order in BaseRelation, and bit p of a 13-bit mask stands
 for the relation at position p.
+
+Masks are composed and conversed through chunk tables derived from those two
+at import. A 13-bit mask splits into a 7-bit low chunk (positions 0-6) and a
+6-bit high chunk (positions 7-12). For each base position a there is one
+table over every low chunk and one over every high chunk of the right
+operand, holding the union of the compositions of a with the chunk's
+relations; so composing two masks costs two lookups and an OR per relation
+of the left one. The converse of a mask is the OR of two chunk lookups.
 """
 
 from __future__ import annotations
@@ -58,11 +66,6 @@ _FULL_MASK = (1 << 13) - 1
 _EQ_MASK = 1 << _INDEX[BaseRelation.EQUALS]
 
 
-def _positions(mask: int) -> List[int]:
-    """Positions of the set bits of a mask, in relation order."""
-    return [p for p in range(13) if mask >> p & 1]
-
-
 @dataclass(frozen=True)
 class RelationSet:
     """Immutable subset of the 13 base relations, stored as a bitmask.
@@ -108,10 +111,11 @@ class RelationSet:
         return bool(self.mask & r.bit)
 
     def __iter__(self) -> Iterator[BaseRelation]:
-        return (_RELATIONS[p] for p in _positions(self.mask))
+        mask = self.mask
+        return iter([r for p, r in enumerate(_RELATIONS) if mask >> p & 1])
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __and__(self, other: "RelationSet") -> "RelationSet":
         return RelationSet(self.mask & other.mask)
@@ -219,22 +223,36 @@ def _generate_tables() -> Tuple[List[List[int]], List[int]]:
 _COMPOSE, _CONVERSE = _generate_tables()
 
 
+def _chunk_table(masks: Sequence[int]) -> List[int]:
+    """Entry c is the OR of masks[p] over the set bits p of c, for every
+    c below 2 ** len(masks)."""
+    table = [0] * (1 << len(masks))
+    for c in range(1, len(table)):
+        low = c & -c
+        table[c] = table[c ^ low] | masks[low.bit_length() - 1]
+    return table
+
+
+_COMPOSE_LOW = [_chunk_table(row[:7]) for row in _COMPOSE]
+_COMPOSE_HIGH = [_chunk_table(row[7:]) for row in _COMPOSE]
+_CONVERSE_LOW = _chunk_table([1 << q for q in _CONVERSE[:7]])
+_CONVERSE_HIGH = _chunk_table([1 << q for q in _CONVERSE[7:]])
+
+
 def _converse_mask(mask: int) -> int:
-    out = 0
-    for p in _positions(mask):
-        out |= 1 << _CONVERSE[p]
-    return out
+    return _CONVERSE_LOW[mask & 0x7F] | _CONVERSE_HIGH[mask >> 7]
 
 
 def _compose_mask(m1: int, m2: int) -> int:
     if (m1 == _FULL_MASK and m2) or (m2 == _FULL_MASK and m1):
         return _FULL_MASK
+    low, high = m2 & 0x7F, m2 >> 7
     out = 0
-    right = _positions(m2)
-    for a in _positions(m1):
-        row = _COMPOSE[a]
-        for b in right:
-            out |= row[b]
+    while m1:
+        bit = m1 & -m1
+        a = bit.bit_length() - 1
+        out |= _COMPOSE_LOW[a][low] | _COMPOSE_HIGH[a][high]
+        m1 ^= bit
     return out
 
 

@@ -8,6 +8,9 @@ the library's composition table, propagation, or parser search:
   plus cycle detection;
 - composition entries and network realizability are decided by enumerating
   atomic scenarios and checking endpoint-order satisfiability;
+- propagation is re-coded with the network's pair queue but composes base
+  pair by base pair through `compose_base`, the 13x13 table that is itself
+  checked against the scenario oracle, and takes converses per relation;
 - restriction evaluation is re-coded as a flat scan;
 - parsing is re-coded as exhaustive enumeration over injective assignments,
   with its own type match: a scan of every concept by name and a DFS over
@@ -20,7 +23,10 @@ the library's composition table, propagation, or parser search:
 """
 
 import math
+from collections import deque
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 
 from soma_kit import (
     BaseRelation,
@@ -31,6 +37,8 @@ from soma_kit import (
     RelationSet,
     Token,
     TokenClass,
+    compose_base,
+    converse,
     relation_from_endpoints,
 )
 from soma_kit.errors import DegenerateInterval, NegativeDuration
@@ -144,6 +152,53 @@ def network_realizable(variables, labels):
         if scenario_satisfiable(variables, scenario):
             return True
     return False
+
+
+def propagate_oracle(n, constraints):
+    """Path consistency over variables 0..n-1 after intersecting each
+    `(i, j, RelationSet)` of `constraints` into the label of (i, j).
+
+    Pairs i < j are queued in order; for each, every third variable k in
+    order tightens (i, k) and then (k, j), both from the labels as they were
+    before either update at this k. Returns `(consistent, witness, labels)`:
+    the witness is the (x, y) whose label emptied, and `labels[x][y]` holds
+    every label as the pass left it.
+    """
+
+    table = {(r1, r2): compose_base(r1, r2).mask for r1 in BaseRelation for r2 in BaseRelation}
+
+    def compose_per_bit(left, right):
+        return RelationSet(reduce(or_, (table[r1, r2] for r1 in left for r2 in right), 0))
+
+    def converse_per_bit(label):
+        return RelationSet.of(*(converse(r) for r in label))
+
+    labels = [[RelationSet.full()] * n for _ in range(n)]
+    for k in range(n):
+        labels[k][k] = RelationSet.of(BaseRelation.EQUALS)
+    for i, j, relations in constraints:
+        labels[i][j] = labels[i][j] & relations
+        labels[j][i] = converse_per_bit(labels[i][j])
+    queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+    while queue:
+        i, j = queue.popleft()
+        for k in range(n):
+            if k in (i, j):
+                continue
+            updates = [
+                (i, k, compose_per_bit(labels[i][j], labels[j][k])),
+                (k, j, compose_per_bit(labels[k][i], labels[i][j])),
+            ]
+            for x, y, composed in updates:
+                new = labels[x][y] & composed
+                if new == labels[x][y]:
+                    continue
+                if new.is_empty:
+                    return False, (x, y), labels
+                labels[x][y], labels[y][x] = new, converse_per_bit(new)
+                if (min(x, y), max(x, y)) not in queue:
+                    queue.append((min(x, y), max(x, y)))
+    return True, None, labels
 
 
 def relation_case_analysis(a, b):

@@ -13,9 +13,10 @@ from soma_kit import (
     converse,
     relation_from_endpoints,
 )
+from soma_kit import allen
 from soma_kit.errors import DegenerateInterval, StaleNetwork, UnknownVariable
 
-from oracles import compose_oracle, network_realizable, relation_case_analysis
+from oracles import compose_oracle, network_realizable, propagate_oracle, relation_case_analysis
 
 ALL = list(BaseRelation)
 
@@ -70,6 +71,31 @@ class TestCompose:
     def test_empty_annihilates(self):
         assert compose(RelationSet.empty(), RelationSet.full()).is_empty
         assert compose(rs("b"), RelationSet.empty()).is_empty
+
+
+class TestChunkTables:
+    """The chunk tables `allen` composes and converses through hold, for
+    every chunk, the union of the 13x13 definition over the chunk's bits."""
+
+    @pytest.mark.parametrize("r1", ALL, ids=lambda r: r.code)
+    def test_compose_chunks_match_oracle(self, r1):
+        row = [compose_oracle(r1, r2) for r2 in ALL]
+        for offset, width, table in (
+            (0, 7, allen._COMPOSE_LOW[r1.index]),
+            (7, 6, allen._COMPOSE_HIGH[r1.index]),
+        ):
+            assert len(table) == 1 << width
+            for chunk in range(1 << width):
+                expected = RelationSet.empty()
+                for p in range(width):
+                    if chunk >> p & 1:
+                        expected = expected | row[offset + p]
+                assert table[chunk] == expected.mask, (r1, offset, chunk)
+
+    def test_converse_matches_definition_on_every_mask(self):
+        for mask in range(1 << 13):
+            expected = RelationSet.of(*(converse(r) for r in ALL if mask & r.bit))
+            assert RelationSet(mask).converse() == expected, mask
 
 
 intervals = st.tuples(
@@ -244,3 +270,38 @@ class TestConstraintNetwork:
             assert_converse_closed(net, names)
             net.propagate()
             assert_converse_closed(net, names)
+
+
+@st.composite
+def networks(draw):
+    """A variable count n of 4-12 and at least n constraints over random
+    ordered pairs, some pairs constrained twice or in both orientations,
+    with arbitrary labels, the empty one included."""
+    n = draw(st.integers(4, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    label = st.integers(0, (1 << 13) - 1).map(RelationSet)
+    size = {"min_size": n, "max_size": n * (n - 1) // 2 + 4}
+    constraints = draw(st.lists(st.tuples(pair, label), **size))
+    return n, [(i, j, r) for (i, j), r in constraints]
+
+
+class TestPropagationOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(networks())
+    def test_propagate_matches_per_bit_oracle(self, network):
+        # Same queue, per-base-pair composition: the chunk tables leave
+        # every label and every witness as the 13x13 definition gives them.
+        n, constraints = network
+        names = [f"v{k}" for k in range(n)]
+        net = ConstraintNetwork()
+        for v in names:
+            net.add_variable(v)
+        for i, j, r in constraints:
+            net.constrain(names[i], names[j], r)
+        result = net.propagate()
+        consistent, witness, labels = propagate_oracle(n, constraints)
+        assert result.consistent == consistent
+        assert result.witness == (None if witness is None else tuple(names[k] for k in witness))
+        for a in range(n):
+            for b in range(n):
+                assert net.get_label(names[a], names[b]) == labels[a][b], (a, b)

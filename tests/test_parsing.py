@@ -363,6 +363,23 @@ def chain_plan(plan_id, *relations):
     )
 
 
+def assert_every_door_raises(plan, store, episode):
+    """`parse`, `verify_interpretation` and `compile_constraints` on the
+    plain-list plan `plan` raise ValidationFailed with the issues
+    `validate_description` lists for it, prefixed with the plan's id."""
+    expected = [f"description {plan.id}: {issue}" for issue in validate_description(plan, store)]
+    assert expected
+    interp = Interpretation(plan.id, (("ph0", "t0"), ("ph1", "t1")), (), 1.0, 0.0)
+    for call in (
+        lambda: parse(episode, [plan], store),
+        lambda: verify_interpretation(interp, episode, [plan], store),
+        lambda: activity.compile_constraints(plan),
+    ):
+        with pytest.raises(ValidationFailed) as exc:
+            call()
+        assert exc.value.issues == expected
+
+
 class TestCompileOnce:
     """`parse` reads each plan's label table from the compiled library; a
     plain description list is compiled on the call that gets it."""
@@ -416,18 +433,23 @@ class TestCompileOnce:
             edit = {"constraints": (PhaseConstraint("ph0", before, "Ghost"),)}
         else:
             edit = {"succedences": (ConditionalSuccedence("s", "ph1", "ph1"),)}
-        plan = dataclasses.replace(plan, **edit)
-        expected = [f"description Bad: {issue}" for issue in validate_description(plan, store)]
-        assert expected
-        interp = Interpretation("Bad", (("ph0", "t0"), ("ph1", "t1")), (), 1.0, 0.0)
-        for call in (
-            lambda: parse(episode, [plan], store),
-            lambda: verify_interpretation(interp, episode, [plan], store),
-            lambda: activity.compile_constraints(plan),
-        ):
-            with pytest.raises(ValidationFailed) as exc:
-                call()
-            assert exc.value.issues == expected
+        assert_every_door_raises(dataclasses.replace(plan, **edit), store, episode)
+
+    @pytest.mark.parametrize("defect", ["phase-is-whole", "shared-phase-id"])
+    def test_plain_list_duplicate_slot_raises(self, defect):
+        # The duplicate-slot rule of validation holds for a plan built in
+        # code: a phase named like the defined event, or two phases of one id.
+        store, episode = two_reach_case()
+        plan = chain_plan("Bad", "before")
+        whole = plan.defines.id
+        if defect == "phase-is-whole":
+            edit = {
+                "phases": (EventTypeRef(whole, "Reach"), plan.phases[1]),
+                "constraints": (PhaseConstraint(whole, RELATION_VOCABULARY["before"], "ph1"),),
+            }
+        else:
+            edit = {"phases": (plan.phases[0], plan.phases[0]), "constraints": ()}
+        assert_every_door_raises(dataclasses.replace(plan, **edit), store, episode)
 
     def test_compiles_once_per_distinct_description(self, monkeypatch, capsys):
         compiled = []
