@@ -52,8 +52,6 @@ from .ontology import (
     ClassificationResult,
     Concept,
     ConceptKind,
-    DesignAspect,
-    DesignSpec,
     Disposition,
     Entity,
     EntityKind,

@@ -315,10 +315,10 @@ class ConstraintNetwork:
 
     def constrain(self, i: str, j: str, relations: RelationSet) -> None:
         """Intersect the current label of (i, j) with the given set."""
-        for v in (i, j):
-            self.add_variable(v)
         if i == j:
             raise ValueError("cannot constrain a variable against itself")
+        for v in (i, j):
+            self.add_variable(v)
         a, b = self._index[i], self._index[j]
         label = self._labels[a][b] & relations.mask
         self._labels[a][b] = label
@@ -331,11 +331,14 @@ class ConstraintNetwork:
         The queue starts with every pair i < j in insertion order and holds
         such pairs only; for each, every third variable k in order tightens
         (i, k) and then (k, j). Inconsistency (an empty label) is a return
-        value, not an exception; its witness is the pair that emptied.
+        value, not an exception; its witness is the first pair in queue order
+        whose label was constrained empty, else the pair that emptied.
         """
         labels = self._labels
         n = len(labels)
         queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+        if not all(map(all, labels)):  # some label was constrained empty
+            return self._inconsistent(*next((i, j) for i, j in queue if not labels[i][j]))
         in_queue = set(queue)
         while queue:
             i, j = pair = queue.popleft()
@@ -355,9 +358,7 @@ class ConstraintNetwork:
                     if new == old:
                         continue
                     if not new:
-                        self._stale = False
-                        names = self.variables
-                        return PropagationResult(False, (names[x], names[y]))
+                        return self._inconsistent(x, y)
                     labels[x][y] = new
                     labels[y][x] = _converse_mask(new)
                     key = (x, y) if x < y else (y, x)
@@ -366,6 +367,11 @@ class ConstraintNetwork:
                         in_queue.add(key)
         self._stale = False
         return PropagationResult(True)
+
+    def _inconsistent(self, x: int, y: int) -> PropagationResult:
+        self._stale = False
+        names = self.variables
+        return PropagationResult(False, (names[x], names[y]))
 
     def query_relation(self, i: str, j: str) -> RelationSet:
         """Propagated label of a variable pair; full set when unconstrained."""

@@ -21,10 +21,6 @@ class BranchViolation(SomaKitError):
     pass
 
 
-class UnsupportedAspect(SomaKitError):
-    pass
-
-
 class StoreFrozen(SomaKitError):
     pass
 

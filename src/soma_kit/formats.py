@@ -1,6 +1,10 @@
 """On-disk document formats: plan libraries and episodes as canonical JSON
 trees (one object per file, version-tagged), plus loaders and a normalizing
 serializer used for round-trip checks.
+
+A library holds `concepts`, `affordances` and `descriptions`. A `designs`
+list is accepted only when empty, as libraries written by earlier versions
+carry it; a design is a concept of kind `design`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import (
     KindMismatch,
     ParseError,
     UnknownId,
-    UnsupportedAspect,
     ValidationFailed,
     VersionMismatch,
 )
@@ -40,8 +43,6 @@ from .ontology import (
     AffordanceSpec,
     And,
     ConceptKind,
-    DesignAspect,
-    DesignSpec,
     Disposition,
     Entity,
     EntityKind,
@@ -388,8 +389,9 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     """Store and compiled descriptions of a parsed library document. A
     malformed record (a concept without `id` or with an unknown `kind`, a
     description without `id`, a plan without `defines`, a top-level list
-    that is not a list of objects) is a ParseError naming it; validation
-    issues, duplicate ids among them, are collected into one
+    that is not a list of objects) is a ParseError naming it, and so is any
+    record under `designs`, which no answer reads (an empty list loads);
+    validation issues, duplicate ids among them, are collected into one
     ValidationFailed. Each plan keeps the network validation propagated."""
     store = OntologyStore()
     issues: List[str] = []
@@ -408,22 +410,9 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
         except (KindMismatch, UnknownId) as exc:
             issues.append(f"affordance {node.get('concept')}: {exc}")
 
-    for at, node in _records(doc, "designs"):
-        concept = _required(node, "concept", at)
-        aspect = _required(node, "aspect", at)
-        restriction = restriction_from_json(
-            _required(node, "restriction", at, object), f"{at}: restriction"
-        )
-        try:
-            store.add_design(
-                DesignSpec(
-                    concept=concept,
-                    aspect=DesignAspect(aspect),
-                    quality_restriction=restriction,
-                )
-            )
-        except (KindMismatch, UnknownId, UnsupportedAspect, ValueError) as exc:
-            issues.append(f"design {concept}: {exc}")
+    designs = _records(doc, "designs")
+    if designs:
+        raise ParseError(f"{designs[0][0]}: design records are not supported")
 
     descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
 
@@ -513,14 +502,6 @@ def serialize_library(store: OntologyStore, descriptions: Sequence[Description])
                 "background": a.background_role,
             }
             for a in sorted(store.affordances(), key=lambda a: a.concept)
-        ],
-        "designs": [
-            {
-                "concept": d.concept,
-                "aspect": d.aspect.value,
-                "restriction": restriction_to_json(d.quality_restriction),
-            }
-            for d in sorted(store.designs(), key=lambda d: d.concept)
         ],
         "descriptions": [
             _description_to_json(d) for d in sorted(descriptions, key=lambda d: d.id)

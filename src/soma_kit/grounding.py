@@ -93,9 +93,9 @@ def select_objects(
 ) -> Dict[str, FrozenSet[str]]:
     """For each role of the task, the scene objects it admits.
 
-    Affordance bearer/trigger structure is honored through the roles' own
-    restrictions: a trigger-restricted role admits exactly the objects that
-    satisfy the trigger restriction.
+    Only the roles' own restrictions decide: no affordance record
+    (`AffordanceSpec` bearer, trigger or background) is read, so a role
+    admits an object whatever affordance pairs it with another role.
     """
     result: Dict[str, FrozenSet[str]] = {}
     for role_id in task.uses_roles:

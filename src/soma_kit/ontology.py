@@ -9,7 +9,7 @@ evaluated by recursive restriction checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -20,7 +20,6 @@ from .errors import (
     StoreFrozen,
     UnitMismatch,
     UnknownId,
-    UnsupportedAspect,
 )
 
 
@@ -176,19 +175,6 @@ class AffordanceSpec:
             raise KindMismatch("bearer and trigger roles must differ")
 
 
-class DesignAspect(Enum):
-    FUNCTIONAL = "functional"
-    STRUCTURAL = "structural"
-    AESTHETIC = "aesthetic"
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    concept: str
-    aspect: DesignAspect
-    quality_restriction: Restriction
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     accepted: bool
@@ -205,8 +191,9 @@ ACCEPTED = ClassificationResult(True)
 
 
 class OntologyStore:
-    """In-memory store of the descriptive branch: concepts, affordance and
-    design records. Ground entities live in each episode's Scene.
+    """In-memory store of the descriptive branch: concepts and affordance
+    records. A design is a concept of kind `design`, a taxonomy node with
+    no record of its own. Ground entities live in each episode's Scene.
 
     Mutating operations are only legal before :meth:`freeze`; afterwards the
     store is read-only and safe to share between concurrent readers.
@@ -217,7 +204,6 @@ class OntologyStore:
         self._by_name: Dict[str, List[Concept]] = {}
         self._ancestors: Dict[str, FrozenSet[str]] = {}
         self._affordances: Dict[str, AffordanceSpec] = {}
-        self._designs: Dict[str, DesignSpec] = {}
         self._ids = itertools.count(1)
         self._frozen = False
 
@@ -324,7 +310,7 @@ class OntologyStore:
         self.concept(b)
         return b in self.ancestors(a)
 
-    # -- affordances and designs
+    # -- affordances
 
     def add_affordance(self, spec: AffordanceSpec) -> None:
         self._check_mutable()
@@ -335,33 +321,8 @@ class OntologyStore:
                 raise KindMismatch(f"affordance slot {role} is not a Role")
         self._affordances[spec.concept] = spec
 
-    def affordance(self, concept_id: str) -> AffordanceSpec:
-        try:
-            return self._affordances[concept_id]
-        except KeyError:
-            raise UnknownId(f"unknown affordance: {concept_id}") from None
-
     def affordances(self) -> Tuple[AffordanceSpec, ...]:
         return tuple(self._affordances.values())
-
-    def add_design(self, spec: DesignSpec) -> None:
-        self._check_mutable()
-        if self.concept(spec.concept).kind is not ConceptKind.DESIGN_DESCR:
-            raise KindMismatch(f"{spec.concept} is not a design concept")
-        if spec.aspect is not DesignAspect.FUNCTIONAL:
-            raise UnsupportedAspect(
-                f"only functional designs are instantiable, got {spec.aspect.value}"
-            )
-        self._designs[spec.concept] = spec
-
-    def design(self, concept_id: str) -> DesignSpec:
-        try:
-            return self._designs[concept_id]
-        except KeyError:
-            raise UnknownId(f"unknown design: {concept_id}") from None
-
-    def designs(self) -> Tuple[DesignSpec, ...]:
-        return tuple(self._designs.values())
 
     # -- classification
 
@@ -399,11 +360,6 @@ class OntologyStore:
         if concept.restriction is None or self.satisfies_restriction(e, concept.restriction):
             return ACCEPTED
         return ClassificationResult(False, _rejection_reason(concept.restriction))
-
-    def design_describes(self, design_concept: str, e: Entity) -> bool:
-        """Functional design matching (`add_design` admits no other aspect):
-        restriction satisfied iff described."""
-        return self.satisfies_restriction(e, self.design(design_concept).quality_restriction)
 
     def check_parameter(self, parameter_id: str, value: float, units: str) -> bool:
         """Whether the parameter classifies a region of this value and units;

@@ -158,10 +158,12 @@ def propagate_oracle(n, constraints):
     """Path consistency over variables 0..n-1 after intersecting each
     `(i, j, RelationSet)` of `constraints` into the label of (i, j).
 
-    Pairs i < j are queued in order; for each, every third variable k in
-    order tightens (i, k) and then (k, j), both from the labels as they were
+    Pairs i < j are queued in order; a pair whose label is already empty
+    is the witness before any pass runs, the first such pair in queue order.
+    Otherwise, for each queued pair, every third variable k in order
+    tightens (i, k) and then (k, j), both from the labels as they were
     before either update at this k. Returns `(consistent, witness, labels)`:
-    the witness is the (x, y) whose label emptied, and `labels[x][y]` holds
+    the witness is the (x, y) whose label is empty, and `labels[x][y]` holds
     every label as the pass left it.
     """
 
@@ -180,6 +182,9 @@ def propagate_oracle(n, constraints):
         labels[i][j] = labels[i][j] & relations
         labels[j][i] = converse_per_bit(labels[i][j])
     queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+    for i, j in queue:
+        if labels[i][j].is_empty:
+            return False, (i, j), labels
     while queue:
         i, j = queue.popleft()
         for k in range(n):

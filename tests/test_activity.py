@@ -164,6 +164,15 @@ class TestCompilation:
         with pytest.raises(TemporallyInconsistent):
             compile_constraints(plan)
 
+    def test_empty_label_raises(self):
+        flow = ProcessFlow(
+            id="F",
+            phases=(EventTypeRef("A", "Approaching"), EventTypeRef("B", "Tilting")),
+            constraints=(PhaseConstraint("A", RelationSet.empty(), "B"),),
+        )
+        with pytest.raises(TemporallyInconsistent, match="between A and B"):
+            compile_constraints(flow)
+
     def test_deterministic(self):
         a = compile_constraints(pouring_plan()).snapshot()
         b = compile_constraints(pouring_plan()).snapshot()

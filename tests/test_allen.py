@@ -205,6 +205,30 @@ class TestConstraintNetwork:
         with pytest.raises(UnknownVariable):
             net.get_label("A", "Z")
 
+    def test_empty_label_is_inconsistent_with_two_variables(self):
+        net = ConstraintNetwork()
+        net.constrain("B", "A", RelationSet.empty())
+        result = net.propagate()
+        assert (result.consistent, result.witness) == (False, ("B", "A"))
+
+    def test_empty_label_is_the_witness_with_a_third_variable(self):
+        # Path consistency would empty (A, C) first; the label constrained
+        # empty is the one to name.
+        net = ConstraintNetwork()
+        net.constrain("A", "B", RelationSet.empty())
+        net.constrain("B", "C", rs("b"))
+        result = net.propagate()
+        assert (result.consistent, result.witness) == (False, ("A", "B"))
+
+    def test_rejected_self_constraint_leaves_network_unchanged(self):
+        net = ConstraintNetwork()
+        net.constrain("A", "B", rs("b"))
+        assert net.propagate().consistent
+        with pytest.raises(ValueError):
+            net.constrain("X", "X", rs("eq"))
+        assert net.variables == ("A", "B")
+        assert net.query_relation("A", "B") == rs("b")  # not stale
+
     def test_propagation_never_drops_realizable_relations(self):
         # soundness: any base relation witnessed by a concrete realization
         # survives propagation

@@ -83,8 +83,17 @@ class TestLibraryLoading:
                 }
             ],
         }
-        with pytest.raises(ValidationFailed):
+        with pytest.raises(ParseError, match="^design 0: design records are not supported$"):
             load_library_document(doc)
+
+    @pytest.mark.parametrize("designs", ["absent", "empty"])
+    def test_no_design_records_load(self, designs):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        if designs == "absent":
+            del doc["designs"]
+        store, library = load_library_document(doc)
+        assert store.has_concept("ContainerDesign")
+        assert [d.id for d in library] == [d["id"] for d in doc["descriptions"]]
 
     def test_invalid_description_lists_all_issues(self):
         doc = {
@@ -364,6 +373,14 @@ def _set(node, key, value):
     node[key] = value
 
 
+# A design record as libraries of earlier versions wrote it.
+DESIGN_RECORD = {
+    "concept": "ContainerDesign",
+    "aspect": "functional",
+    "restriction": {"op": "has_disposition", "disposition": "Containment"},
+}
+
+
 # defect -> (edit of the seed library document, message on stderr)
 MALFORMED_RECORDS = {
     "unknown-kind": (
@@ -414,9 +431,9 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g", "desired": [1]}),
         "description PouringPlan: goal: desired 0: expected an object, got 1",
     ),
-    "design-without-aspect": (
-        lambda doc: doc["designs"][0].pop("aspect"),
-        "design 0: missing 'aspect'",
+    "design-record": (
+        lambda doc: _set(doc, "designs", [DESIGN_RECORD]),
+        "design 0: design records are not supported",
     ),
     "kind-is-without-kind": (
         lambda doc: _set(doc["concepts"][6], "restriction", {"op": "kind_is"}),
@@ -685,6 +702,7 @@ class TestDocumentFuzz:
     @example(("library", ("descriptions", 0, "type")), ("set", [1]))
     @example(("library", ("affordances", 0, "background")), ("set", [1]))
     @example(("library", ("affordances", 0, "background")), ("set", 1))
+    @example(("library", ("designs",)), ("wrap", None))
     @example(("episode", ("scene", "objects", 1, "type_tag")), ("set", [1]))
     @example(("episode", ("scene", "objects", 1, "name")), ("wrap", None))
     @example(("episode", ("scene", "objects", 2, "dispositions", 0, "affordance")), ("wrap", None))
@@ -828,6 +846,23 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(  # validate: MALFORMED_RECORDS["design-record"]
+        "command",
+        [
+            ("parse", "{lib}", str(POURING_EPISODE)),
+            ("select", "{lib}", str(POURING_EPISODE), "Pouring"),
+            ("query", "{lib}", "PouringPlan", "Approaching", "Tilting"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_design_record_exit_2(self, capsys, tmp_path, command):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["designs"] = [DESIGN_RECORD]
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *(arg.format(lib=path) for arg in command))
+        assert (code, out, err) == (2, "", "error: design 0: design records are not supported\n")
 
     @pytest.mark.parametrize("defect", list(MALFORMED_EPISODES))
     def test_malformed_episode_record_exit_2(self, capsys, tmp_path, defect):

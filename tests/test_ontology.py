@@ -4,8 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 from soma_kit import (
     AffordanceSpec,
     ConceptKind,
-    DesignAspect,
-    DesignSpec,
     Disposition,
     Entity,
     EntityKind,
@@ -24,7 +22,6 @@ from soma_kit.errors import (
     StoreFrozen,
     UnitMismatch,
     UnknownId,
-    UnsupportedAspect,
 )
 
 from oracles import restriction_brute_force, subsumed_oracle
@@ -259,33 +256,6 @@ def test_restriction_deterministic(entity, restriction):
     store = OntologyStore()
     first = store.satisfies_restriction(entity, restriction)
     assert store.satisfies_restriction(entity, restriction) == first
-
-
-class TestDesigns:
-    def setup_store(self):
-        store = OntologyStore()
-        design = store.add_concept("ContainerDesign", ConceptKind.DESIGN_DESCR)
-        store.add_design(
-            DesignSpec(design, DesignAspect.FUNCTIONAL, HasDisposition("Containment"))
-        )
-        return store, design
-
-    def test_functional_design_describes(self):
-        store, design = self.setup_store()
-        assert store.design_describes(design, make_pot())
-
-    def test_functional_design_rejects(self):
-        store, design = self.setup_store()
-        knife = Entity("knife", "knife", EntityKind.OBJECT, "Knife")
-        assert not store.design_describes(design, knife)
-
-    def test_structural_design_rejected_at_load(self):
-        store = OntologyStore()
-        design = store.add_concept("OrnateDesign", ConceptKind.DESIGN_DESCR)
-        with pytest.raises(UnsupportedAspect):
-            store.add_design(
-                DesignSpec(design, DesignAspect.STRUCTURAL, HasDisposition("Containment"))
-            )
 
 
 class TestAffordances:
