@@ -21,7 +21,7 @@ def main():
     store, library = load_library(DATA / "seed_library.json")
     plan = library[0]
     net = library.compiled[0].network  # propagated once, when the library was validated
-    print(f"loaded {len(library)} descriptions; plan: {plan.id}")
+    print(f"loaded {len(library)} description(s); plan: {plan.id}")
     print(
         "Approaching vs Tilting:",
         net.query_relation("Approaching_0", "Tilting_0").codes(),

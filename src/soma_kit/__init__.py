@@ -20,7 +20,6 @@ from .allen import (
 from .activity import (
     Binding,
     ConditionalSuccedence,
-    Configuration,
     Description,
     EventTypeRef,
     Goal,
@@ -29,7 +28,6 @@ from .activity import (
     Plan,
     ProcessFlow,
     Situation,
-    StateRelationConstraint,
     ValidationIssue,
     check_bindings,
     check_goal,

@@ -1,11 +1,13 @@
-"""Plans, configurations, and process flows, plus the machinery that checks
-them: structural validation against an ontology store, compilation of phase
-structure into an interval constraint network, binding checks, and goal
-checks against terminal situations.
+"""Plans and process flows, plus the machinery that checks them: structural
+validation against an ontology store, compilation of phase structure into
+an interval constraint network, binding checks, and goal checks against
+terminal situations.
 
-Every description `defines` the event concept it conceptualizes (a task, a
-process type or a state type) and answers `phases`, `bindings` and
-`succedences`; a type that has none of one of these reads an empty tuple.
+Every description is a temporal network over its phases and compiles to
+one. It `defines` the event concept it conceptualizes (a task for a plan;
+optionally, a process type for a process flow) and answers `phases`,
+`bindings` and `succedences`; a process flow has neither bindings nor
+succedences and reads empty tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .ontology import (
     EVENT_ENTITY_KINDS,
     Entity,
     OntologyStore,
-    Restriction,
 )
 
 #: Named temporal vocabulary accepted in phase constraints. hasPhase is
@@ -51,9 +52,6 @@ HAS_PHASE = RelationSet.of(
 #: Temporal import of conditional succedence: the earlier task fully
 #: precedes or abuts the later one.
 SUCCEDENCE = RelationSet.of(BaseRelation.BEFORE, BaseRelation.MEETS)
-
-#: Binary state vocabulary usable in configuration constraints.
-STATE_RELATIONS = frozenset({"contact", "support", "containment"})
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,6 @@ class ConditionalSuccedence:
     id: str
     earlier: str
     later: str
-    condition: Optional[Restriction] = None
 
 
 @dataclass(frozen=True)
@@ -96,16 +93,6 @@ class Goal:
 
     id: str
     desired: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (state type id, role ids)
-
-
-@dataclass(frozen=True)
-class StateRelationConstraint:
-    relation: str  # one of STATE_RELATIONS
-    left: str
-    right: str
-
-
-ConfigurationConstraint = Union[Restriction, StateRelationConstraint]
 
 
 @dataclass(frozen=True)
@@ -120,16 +107,6 @@ class Plan:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    id: str
-    defines: Optional[EventTypeRef] = None
-    constraints: Tuple[ConfigurationConstraint, ...] = ()
-    phases: ClassVar[Tuple[EventTypeRef, ...]] = ()
-    bindings: ClassVar[Tuple[Binding, ...]] = ()
-    succedences: ClassVar[Tuple[ConditionalSuccedence, ...]] = ()
-
-
-@dataclass(frozen=True)
 class ProcessFlow:
     id: str
     defines: Optional[EventTypeRef] = None
@@ -139,7 +116,7 @@ class ProcessFlow:
     succedences: ClassVar[Tuple[ConditionalSuccedence, ...]] = ()
 
 
-Description = Union[Plan, Configuration, ProcessFlow]
+Description = Union[Plan, ProcessFlow]
 
 
 @dataclass(frozen=True)
@@ -170,7 +147,6 @@ class GoalResult:
 
 _DEFINES_KIND = {
     Plan: ConceptKind.TASK,
-    Configuration: ConceptKind.STATE_TYPE,
     ProcessFlow: ConceptKind.PROCESS_TYPE,
 }
 
@@ -215,8 +191,8 @@ def validate_description(d: Description, store: OntologyStore) -> List[Validatio
 def validate_and_compile(
     d: Description, store: OntologyStore
 ) -> Tuple[List[ValidationIssue], Optional[ConstraintNetwork]]:
-    """The issues `validate_description` lists and, for a valid plan or
-    process flow, the network its temporal check propagated (else None)."""
+    """The issues `validate_description` lists and, for a valid description,
+    the network its temporal check propagated (else None)."""
     issues: List[ValidationIssue] = []
     refs = _slot_refs(d)
     phase_ids: Set[str] = set()
@@ -234,19 +210,9 @@ def validate_and_compile(
                 )
             )
     for c in d.constraints:
-        if isinstance(c, PhaseConstraint):
-            issues += _endpoint_issues(c, phase_ids)
-            if c.relation.is_empty:
-                issues.append(
-                    ValidationIssue("empty-relation", f"{c.left}/{c.right} label is empty")
-                )
-        elif isinstance(c, StateRelationConstraint):
-            if c.relation not in STATE_RELATIONS:
-                issues.append(
-                    ValidationIssue(
-                        "unknown-state-relation", f"unsupported relation {c.relation}"
-                    )
-                )
+        issues += _endpoint_issues(c, phase_ids)
+        if c.relation.is_empty:
+            issues.append(ValidationIssue("empty-relation", f"{c.left}/{c.right} label is empty"))
     declared_roles = {
         (ref.id, rid) for ref in refs for rid in ref.uses_roles + ref.uses_parameters
     }
@@ -279,7 +245,7 @@ def validate_and_compile(
                         ValidationIssue("unknown-role", f"goal binds unknown role {rid}")
                     )
     net = None
-    if not issues and not isinstance(d, Configuration):
+    if not issues:
         try:
             net = compile_constraints(d)
         except TemporallyInconsistent as exc:
@@ -314,8 +280,6 @@ def compile_constraints(d: Description) -> ConstraintNetwork:
     """Interval network of a plan or process flow, one variable per phase plus one for the
     whole defined event, propagated to fixpoint; duplicate-slot and endpoint issues raise
     ValidationFailed."""
-    if isinstance(d, Configuration):
-        raise TypeError("configurations carry no temporal structure")
     ids: Set[str] = set()
     issues = [i for ref in _slot_refs(d) for i in _duplicate_slot_issues(ref, ids)]
     issues += [i for r in (*d.constraints, *d.succedences) for i in _endpoint_issues(r, ids)]

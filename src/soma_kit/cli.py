@@ -37,6 +37,17 @@ def _eps(text: str) -> float:
     return value
 
 
+def _top(text: str) -> int:
+    """argparse type of --top: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="soma-kit",
@@ -51,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("library")
     p.add_argument("episode")
     p.add_argument("--eps", type=_eps, default=DEFAULT_EPS)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=_top, default=None)
     p.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = sub.add_parser("query", help="propagated relation between two plan phases")
@@ -114,8 +125,8 @@ def _cmd_parse(args) -> int:
 
 
 def _find_refs(store, plans: Iterable[CompiledPlan], name: str) -> List[EventTypeRef]:
-    """The slots, walking `_slot_refs` of each compiled plan or process flow
-    in order, whose id or concept name is `name`."""
+    """The slots, walking `_slot_refs` of each compiled description in
+    order, whose id or concept name is `name`."""
     return [
         ref
         for plan in plans
@@ -150,7 +161,7 @@ def _cmd_query(args) -> int:
 def _cmd_select(args) -> int:
     store, library = load_library(args.library)
     episode = load_episode(args.episode, eps=args.eps)
-    task_refs = _find_refs(store, filter(None, library.compiled), args.task)
+    task_refs = _find_refs(store, library.compiled, args.task)
     if not task_refs:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 trees (one object per file, version-tagged), plus loaders and a normalizing
 serializer used for round-trip checks.
 
-A library holds `concepts`, `affordances` and `descriptions`. A `designs`
-list is accepted only when empty, as libraries written by earlier versions
-carry it; a design is a concept of kind `design`.
+A library holds `concepts`, `affordances` and `descriptions`; each
+description is a `plan` or a `process_flow`. A `designs` list is accepted
+only when empty, and a succedence `condition` only when null, as libraries
+written by earlier versions carry them; a design and a configuration are
+concepts of kind `design` and `configuration`, never records.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from .activity import (
     Binding,
     ConditionalSuccedence,
-    Configuration,
     Description,
     EventTypeRef,
     Goal,
@@ -27,7 +28,6 @@ from .activity import (
     Plan,
     ProcessFlow,
     RELATION_VOCABULARY,
-    StateRelationConstraint,
     validate_and_compile,
 )
 from .allen import RelationSet
@@ -250,14 +250,15 @@ def _ref_to_json(ref: EventTypeRef) -> dict:
 
 
 #: Description classes by their JSON "type" tag, and back.
-_DESCRIPTION_TYPES = {"plan": Plan, "configuration": Configuration, "process_flow": ProcessFlow}
+_DESCRIPTION_TYPES = {"plan": Plan, "process_flow": ProcessFlow}
 _DESCRIPTION_TAGS = {cls: tag for tag, cls in _DESCRIPTION_TYPES.items()}
 
 
 def _description_from_json(at: str, node: dict) -> Description:
     """Description of record `at`; a record without `id`, a plan without
-    `defines`, an unknown `type`, or a phase, constraint, binding or
-    succedence without a field it needs is a ParseError naming the record."""
+    `defines`, an unknown `type`, a phase, constraint, binding or succedence
+    without a field it needs, or a succedence with a `condition` is a
+    ParseError naming the record."""
     did = _required(node, "id", at)
     at = f"description {did}"
     tag = node.get("type")
@@ -269,42 +270,36 @@ def _description_from_json(at: str, node: dict) -> Description:
         raise ParseError(f"{at}: missing 'defines'")
     if defines is not None:
         defines = _ref_from_json(f"{at}: defines", defines)
-    fields = {"id": did, "defines": defines}
-    constraints = _records(node, "constraints", at)
-    if cls is Configuration:
-        fields["constraints"] = tuple(
-            StateRelationConstraint(
-                *(_required(c, key, c_at) for key in ("relation", "left", "right"))
+    fields = {
+        "id": did,
+        "defines": defines,
+        "phases": tuple(_ref_from_json(p_at, p) for p_at, p in _records(node, "phases", at)),
+        "constraints": tuple(
+            PhaseConstraint(
+                _required(c, "left", c_at),
+                _relation_from_json(_required(c, "relation", c_at, object)),
+                _required(c, "right", c_at),
             )
-            if "relation" in c
-            else restriction_from_json(c, c_at)
-            for c_at, c in constraints
-        )
-        return cls(**fields)
-    fields["phases"] = tuple(_ref_from_json(p_at, p) for p_at, p in _records(node, "phases", at))
-    fields["constraints"] = tuple(
-        PhaseConstraint(
-            _required(c, "left", c_at),
-            _relation_from_json(_required(c, "relation", c_at, object)),
-            _required(c, "right", c_at),
-        )
-        for c_at, c in constraints
-    )
+            for c_at, c in _records(node, "constraints", at)
+        ),
+    }
     if cls is Plan:
         fields["bindings"] = tuple(
             Binding(_required(b, "id", b_at), _binding_slots(b, b_at))
             for b_at, b in _records(node, "bindings", at)
         )
         fields["succedences"] = tuple(
-            ConditionalSuccedence(
-                *(_required(s, key, s_at) for key in ("id", "earlier", "later")),
-                _optional_restriction(s, "condition", s_at),
-            )
-            for s_at, s in _records(node, "succedences", at)
+            _succedence_from_json(s_at, s) for s_at, s in _records(node, "succedences", at)
         )
         goal = _optional(node, "goal", at, dict)
         fields["goal"] = None if goal is None else _goal_from_json(goal, f"{at}: goal")
     return cls(**fields)
+
+
+def _succedence_from_json(at: str, node: dict) -> ConditionalSuccedence:
+    if node.get("condition") is not None:
+        raise ParseError(f"{at}: conditions are not supported")
+    return ConditionalSuccedence(*(_required(node, key, at) for key in ("id", "earlier", "later")))
 
 
 def _binding_slots(node: dict, at: str) -> FrozenSet[Tuple[str, str]]:
@@ -331,32 +326,18 @@ def _description_to_json(d: Description) -> dict:
         "id": d.id,
         "type": _DESCRIPTION_TAGS[type(d)],
         "defines": _ref_to_json(d.defines) if d.defines else None,
-    }
-    if isinstance(d, Configuration):
-        node["constraints"] = [
-            {"relation": c.relation, "left": c.left, "right": c.right}
-            if isinstance(c, StateRelationConstraint)
-            else restriction_to_json(c)
+        "phases": [_ref_to_json(p) for p in d.phases],
+        "constraints": [
+            {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
             for c in d.constraints
-        ]
-        return node
-    node["phases"] = [_ref_to_json(p) for p in d.phases]
-    node["constraints"] = [
-        {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
-        for c in d.constraints
-    ]
+        ],
+    }
     if isinstance(d, Plan):
         node["bindings"] = [
             {"id": b.id, "slots": sorted(list(s) for s in b.slots)} for b in d.bindings
         ]
         node["succedences"] = [
-            {
-                "id": s.id,
-                "earlier": s.earlier,
-                "later": s.later,
-                "condition": restriction_to_json(s.condition) if s.condition else None,
-            }
-            for s in d.succedences
+            {"id": s.id, "earlier": s.earlier, "later": s.later} for s in d.succedences
         ]
         node["goal"] = (
             {
@@ -388,11 +369,13 @@ def load_library(path: Union[str, Path]) -> Tuple[OntologyStore, CompiledLibrary
 def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     """Store and compiled descriptions of a parsed library document. A
     malformed record (a concept without `id` or with an unknown `kind`, a
-    description without `id`, a plan without `defines`, a top-level list
-    that is not a list of objects) is a ParseError naming it, and so is any
-    record under `designs`, which no answer reads (an empty list loads);
-    validation issues, duplicate ids among them, are collected into one
-    ValidationFailed. Each plan keeps the network validation propagated."""
+    description without `id` or with a `type` other than `plan` or
+    `process_flow`, a plan without `defines`, a top-level list that is not a
+    list of objects) is a ParseError naming it, and so is any record under
+    `designs` and any non-null succedence `condition`, which no answer reads
+    (an empty list and a null condition load); validation issues, duplicate
+    ids among them, are collected into one ValidationFailed. Each
+    description keeps the network validation propagated."""
     store = OntologyStore()
     issues: List[str] = []
     _add_concepts(doc, store, issues)

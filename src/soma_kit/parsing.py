@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .activity import Configuration, Description, binding_classes, compile_constraints
+from .activity import Description, binding_classes, compile_constraints
 from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration
 from .grounding import Scene, admits
@@ -202,18 +202,15 @@ class CompiledPlan:
 
 
 class CompiledLibrary(tuple):
-    """The descriptions of a library, in order, each plan and process flow
-    compiled once from its propagated network in `networks`: `compiled[i]`
-    is `self[i]` compiled (None for a configuration, as its network is)."""
+    """The descriptions of a library, in order, each compiled once from its
+    propagated network in `networks`: `compiled[i]` is `self[i]` compiled."""
 
-    compiled: Tuple[Optional[CompiledPlan], ...]
+    compiled: Tuple[CompiledPlan, ...]
 
-    def __new__(cls, descriptions: Iterable[Description], networks: Iterable):
+    def __new__(cls, descriptions: Iterable[Description], networks: Iterable[ConstraintNetwork]):
         self = super().__new__(cls, descriptions)
         self.compiled = tuple(
-            None
-            if net is None
-            else CompiledPlan(d, net, net.masks([p.id for p in d.phases]), _role_classes(d))
+            CompiledPlan(d, net, net.masks([p.id for p in d.phases]), _role_classes(d))
             for d, net in zip(self, networks)
         )
         return self
@@ -223,8 +220,7 @@ def _compile(library: Sequence[Description]) -> CompiledLibrary:
     if isinstance(library, CompiledLibrary):
         return library
     library = tuple(library)
-    networks = [None if isinstance(d, Configuration) else compile_constraints(d) for d in library]
-    return CompiledLibrary(library, networks)
+    return CompiledLibrary(library, map(compile_constraints, library))
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
@@ -293,7 +289,7 @@ def parse(
         cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
         return [pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag)]
 
-    for plan in filter(None, _compile(library).compiled):
+    for plan in _compile(library).compiled:
         d = plan.description
         if d.phases:
             candidates = [fitting(p.concept) for p in d.phases]
@@ -375,13 +371,14 @@ def verify_interpretation(
 ) -> bool:
     """Re-derivation through the parser's own search: offered only the token
     it grounds for each phase (none when the types do not match), the search
-    yields the interpretation's role grounding, order aside."""
+    yields the interpretation's phase and role groundings, order aside and
+    each entry once; coverage and earliest start are not checked."""
     library = _compile(library)
     by_id = dict(zip((d.id for d in library), library.compiled))
     if interp.plan not in by_id:
         raise DanglingReference(f"unknown plan: {interp.plan}")
     plan = by_id[interp.plan]
-    if plan is None or not plan.description.phases:
+    if not plan.description.phases:
         raise DanglingReference(f"description {interp.plan} has no parseable phases")
     d = plan.description
     phase_ids = {p.id for p in d.phases}
@@ -402,8 +399,8 @@ def verify_interpretation(
     ]
     bit = partial(_relation_bit, episode.tokens, episode.eps)
     admitted = partial(admits, scene=episode.scene, store=store)
-    roles = dict(interp.role_grounding)
+    groundings = (tuple(sorted(interp.phase_grounding)), tuple(sorted(interp.role_grounding)))
     return any(
-        dict(i.role_grounding) == roles
+        (i.phase_grounding, i.role_grounding) == groundings
         for i in _interpretations(plan, candidates, episode, bit, admitted, [], set())
     )

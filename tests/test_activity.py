@@ -4,7 +4,6 @@ from soma_kit import (
     Binding,
     ConceptKind,
     ConditionalSuccedence,
-    Configuration,
     EventTypeRef,
     Goal,
     OntologyStore,
@@ -104,8 +103,8 @@ class TestValidation:
 
     def test_cross_wired_defines_kind(self):
         store = build_store().freeze()
-        config = Configuration(id="C", defines=EventTypeRef("S_0", "Pouring"))
-        issues = validate_description(config, store)
+        flow = ProcessFlow(id="F", defines=EventTypeRef("Pouring_0", "Pouring"))
+        issues = validate_description(flow, store)
         assert any(i.code == "kind-mismatch" for i in issues)
 
     def test_binding_needs_two_slots(self):

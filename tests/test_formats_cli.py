@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     FORMAT_VERSION,
+    ConditionalSuccedence,
     RawEvent,
     TokenClass,
     dumps_canonical,
@@ -38,12 +39,16 @@ from soma_kit.ontology import EntityKind, HasDisposition, KindIs, OntologyStore,
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from oracles import add_concepts_fixpoint
 
+ALL_DESCRIPTIONS_LIBRARY = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "all_descriptions_library.json"
+)
+
 
 class TestLibraryLoading:
     def test_seed_library_loads(self, seed):
         store, descriptions = seed
         assert store.frozen
-        assert len(descriptions) >= 2
+        assert [d.id for d in descriptions] == ["PouringPlan"]
 
     def test_version_mismatch(self, tmp_path):
         doc = json.loads(SEED_LIBRARY.read_text())
@@ -94,6 +99,18 @@ class TestLibraryLoading:
         store, library = load_library_document(doc)
         assert store.has_concept("ContainerDesign")
         assert [d.id for d in library] == [d["id"] for d in doc["descriptions"]]
+
+    @pytest.mark.parametrize("condition", ["absent", "null"])
+    def test_unconditional_succedence_loads(self, condition):
+        doc = json.loads(ALL_DESCRIPTIONS_LIBRARY.read_text())
+        (succedence,) = doc["descriptions"][0]["succedences"]
+        assert "condition" not in succedence
+        if condition == "null":
+            succedence["condition"] = None
+        _, library = load_library_document(doc)
+        assert library[0].succedences == (
+            ConditionalSuccedence("Succedence_1", "Tilting_0", "Retracting_0"),
+        )
 
     def test_invalid_description_lists_all_issues(self):
         doc = {
@@ -381,6 +398,22 @@ DESIGN_RECORD = {
 }
 
 
+# A configuration description and a conditional succedence as libraries of
+# earlier versions wrote them.
+CONFIGURATION_DESCRIPTION = {
+    "id": "ContactConfiguration",
+    "type": "configuration",
+    "defines": {"id": "Contact_0", "concept": "Contact", "roles": [], "parameters": []},
+    "constraints": [{"relation": "contact", "left": "Patient", "right": "Destination"}],
+}
+CONDITIONAL_SUCCEDENCE = {
+    "id": "s",
+    "earlier": "Approaching_0",
+    "later": "Tilting_0",
+    "condition": {"op": "kind_is", "kind": "object"},
+}
+
+
 # defect -> (edit of the seed library document, message on stderr)
 MALFORMED_RECORDS = {
     "unknown-kind": (
@@ -392,8 +425,8 @@ MALFORMED_RECORDS = {
         "concept 3: missing 'id'",
     ),
     "description-without-id": (
-        lambda doc: doc["descriptions"][1].pop("id"),
-        "description 1: missing 'id'",
+        lambda doc: doc["descriptions"][0].pop("id"),
+        "description 0: missing 'id'",
     ),
     "concepts-not-a-list": (
         lambda doc: _set(doc, "concepts", "x"),
@@ -485,7 +518,15 @@ MALFORMED_RECORDS = {
             "succedences",
             [{"id": "s", "earlier": "Approaching_0", "later": "Tilting_0", "condition": 0}],
         ),
-        "description PouringPlan: succedence 0: condition: expected an object, got 0",
+        "description PouringPlan: succedence 0: conditions are not supported",
+    ),
+    "succedence-condition": (
+        lambda doc: _set(doc["descriptions"][0], "succedences", [CONDITIONAL_SUCCEDENCE]),
+        "description PouringPlan: succedence 0: conditions are not supported",
+    ),
+    "configuration-description": (
+        lambda doc: doc["descriptions"].append(CONFIGURATION_DESCRIPTION),
+        "description ContactConfiguration: unknown description type: 'configuration'",
     ),
     "goal-empty-list": (
         lambda doc: _set(doc["descriptions"][0], "goal", []),
@@ -639,10 +680,6 @@ VALIDATION_ISSUES = {
         lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", []),
         "PouringPlan: empty-relation: Approaching_0/Tilting_0 label is empty",
     ),
-    "unknown-state-relation": (
-        lambda doc: _set(doc["descriptions"][1]["constraints"][0], "relation", "near"),
-        "ContactConfiguration: unknown-state-relation: unsupported relation near",
-    ),
     "self-succedence": (
         lambda doc: _set(
             doc["descriptions"][0],
@@ -703,6 +740,7 @@ class TestDocumentFuzz:
     @example(("library", ("affordances", 0, "background")), ("set", [1]))
     @example(("library", ("affordances", 0, "background")), ("set", 1))
     @example(("library", ("designs",)), ("wrap", None))
+    @example(("library", ("descriptions", 0, "succedences")), ("set", [CONDITIONAL_SUCCEDENCE]))
     @example(("episode", ("scene", "objects", 1, "type_tag")), ("set", [1]))
     @example(("episode", ("scene", "objects", 1, "name")), ("wrap", None))
     @example(("episode", ("scene", "objects", 2, "dispositions", 0, "affordance")), ("wrap", None))
@@ -986,11 +1024,22 @@ class TestCli:
         assert "interpretations: 0" in out
 
     def test_parse_top_limits_output(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "parse", str(SEED_LIBRARY), str(AMBIGUOUS_EPISODE), "--top", "1"
-        )
-        assert code == 0
-        assert out.count("plan=PouringPlan") == 1
+        for top in range(4):
+            code, out, _ = run_cli(
+                capsys, "parse", str(SEED_LIBRARY), str(AMBIGUOUS_EPISODE), "--top", str(top)
+            )
+            assert code == 0
+            assert out.count("plan=PouringPlan") == min(top, 2)
+
+    @pytest.mark.parametrize("top", ["-1", "1.5", "x"])
+    def test_negative_top_is_usage_error(self, capsys, top):
+        argv = ["parse", str(SEED_LIBRARY), str(AMBIGUOUS_EPISODE), "--top", top]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --top: must be a non-negative integer" in captured.err
 
     def test_parse_machine_format(self, capsys):
         code, out, _ = run_cli(

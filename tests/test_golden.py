@@ -7,9 +7,9 @@ after an intended output change, write `run_cli(...)[1]` of each case to
 tendency/stronger pair. `tokens_state_episode.out` pins state splitting
 the same way: one `id start end type_tag` line per token of a seeded episode.
 `all_descriptions_library.json` holds one description of each type (a plan
-with a goal, a binding and a conditional succedence, a configuration, and
-process flows with and without a defined event); its canonical serialization
-is pinned in `all_descriptions_canonical.json`.
+with a goal, a binding and a succedence, and process flows with and without
+a defined event); its canonical serialization is pinned in
+`all_descriptions_canonical.json`.
 """
 
 import pathlib
@@ -48,7 +48,7 @@ CASES = {
     "query_mixing_phases": (("query", ALL, "MixingFlow", "Rotating_0", "Tilting"), 0),
     "query_mixing_defined": (("query", ALL, "MixingFlow", "Mixing", "Rotating_0"), 0),
     "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),
-    "query_configuration": (("query", ALL, "FilledConfiguration", "Filled", "Filled_0"), 2),
+    "query_unknown_plan": (("query", ALL, "NoSuchPlan", "Mixing", "Rotating_0"), 2),
     "select_mixing_phase": (("select", ALL, POUR, "Tilting_1"), 0),
     "force_motion_agonist": (("force", "--tendency", "motion", "--stronger", "agonist"), 0),
     "force_motion_antagonist": (("force", "--tendency", "motion", "--stronger", "antagonist"), 0),

@@ -34,7 +34,7 @@ from soma_kit import (
     verify_interpretation,
 )
 from soma_kit import activity, cli, parsing
-from soma_kit.activity import RELATION_VOCABULARY, Configuration, validate_description
+from soma_kit.activity import RELATION_VOCABULARY, validate_description
 from soma_kit.allen import RelationSet, relation_from_endpoints
 from soma_kit.errors import (
     DanglingReference,
@@ -462,7 +462,7 @@ class TestCompileOnce:
         for module in (activity, parsing):
             monkeypatch.setattr(module, "compile_constraints", counted)
         store, library = load_library(SEED_LIBRARY)
-        plans = [d.id for d in library if not isinstance(d, Configuration)]
+        plans = [d.id for d in library]
         assert plans and compiled == plans
         for path in (POURING_EPISODE, AMBIGUOUS_EPISODE):
             episode = load_episode(path)
@@ -739,6 +739,12 @@ class TestVerify:
             earliest_start=interp.earliest_start,
         )
         assert not verify_interpretation(bad, pouring_episode, library, store)
+        # A slot listed twice, once with an entity its role does not admit.
+        listed_twice = dataclasses.replace(
+            interp,
+            role_grounding=((("Approaching_0", "Destination"), "knife"),) + interp.role_grounding,
+        )
+        assert not verify_interpretation(listed_twice, pouring_episode, library, store)
 
     def test_entity_outside_its_token_fails(self, seed, pouring_episode):
         # t0, the Approaching token, has bowl as its only participant.
@@ -771,6 +777,11 @@ class TestVerify:
         (interp,) = parse(pouring_episode, library, store)
         partial = dataclasses.replace(interp, phase_grounding=interp.phase_grounding[:1])
         assert not verify_interpretation(partial, pouring_episode, library, store)
+        # One phase per entry: a phase listed twice is no interpretation either.
+        listed_twice = dataclasses.replace(
+            interp, phase_grounding=interp.phase_grounding[:1] + interp.phase_grounding
+        )
+        assert not verify_interpretation(listed_twice, pouring_episode, library, store)
 
     @pytest.mark.parametrize(
         "pair, message",
@@ -823,7 +834,10 @@ class TestVerify:
         ghost = Interpretation("NoSuchPlan", (), (), 0.0, 0.0)
         with pytest.raises(DanglingReference, match="unknown plan: NoSuchPlan"):
             verify_interpretation(ghost, pouring_episode, library, store)
-        config = Interpretation("ContactConfiguration", (), (), 0.0, 0.0)
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"].append({"id": "EmptyFlow", "type": "process_flow", "phases": []})
+        store, library = load_library_document(doc)
+        empty = Interpretation("EmptyFlow", (), (), 0.0, 0.0)
         for descriptions in (library, list(library)):
-            with pytest.raises(DanglingReference, match="ContactConfiguration has no parseable"):
-                verify_interpretation(config, pouring_episode, descriptions, store)
+            with pytest.raises(DanglingReference, match="EmptyFlow has no parseable"):
+                verify_interpretation(empty, pouring_episode, descriptions, store)
