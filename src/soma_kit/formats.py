@@ -6,7 +6,9 @@ A library holds `concepts`, `affordances` and `descriptions`; each
 description is a `plan` or a `process_flow`. A `designs` list is accepted
 only when empty, and a succedence `condition` only when null, as libraries
 written by earlier versions carry them; a design and a configuration are
-concepts of kind `design` and `configuration`, never records.
+concepts of kind `design` and `configuration`, never records. Bindings,
+succedences and a goal belong to plans: a process flow may carry them only
+as empty lists and a null goal.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from json.encoder import encode_basestring
 from numbers import Real
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .activity import (
     Binding,
@@ -257,8 +260,9 @@ _DESCRIPTION_TAGS = {cls: tag for tag, cls in _DESCRIPTION_TYPES.items()}
 def _description_from_json(at: str, node: dict) -> Description:
     """Description of record `at`; a record without `id`, a plan without
     `defines`, an unknown `type`, a phase, constraint, binding or succedence
-    without a field it needs, or a succedence with a `condition` is a
-    ParseError naming the record."""
+    without a field it needs, a succedence with a `condition`, or a process
+    flow with a binding, a succedence or a goal is a ParseError naming the
+    record (empty lists and a null goal load)."""
     did = _required(node, "id", at)
     at = f"description {did}"
     tag = node.get("type")
@@ -270,6 +274,7 @@ def _description_from_json(at: str, node: dict) -> Description:
         raise ParseError(f"{at}: missing 'defines'")
     if defines is not None:
         defines = _ref_from_json(f"{at}: defines", defines)
+    goal = _optional(node, "goal", at, dict)
     fields = {
         "id": did,
         "defines": defines,
@@ -282,17 +287,20 @@ def _description_from_json(at: str, node: dict) -> Description:
             )
             for c_at, c in _records(node, "constraints", at)
         ),
-    }
-    if cls is Plan:
-        fields["bindings"] = tuple(
+        "bindings": tuple(
             Binding(_required(b, "id", b_at), _binding_slots(b, b_at))
             for b_at, b in _records(node, "bindings", at)
-        )
-        fields["succedences"] = tuple(
+        ),
+        "succedences": tuple(
             _succedence_from_json(s_at, s) for s_at, s in _records(node, "succedences", at)
-        )
-        goal = _optional(node, "goal", at, dict)
-        fields["goal"] = None if goal is None else _goal_from_json(goal, f"{at}: goal")
+        ),
+        "goal": None if goal is None else _goal_from_json(goal, f"{at}: goal"),
+    }
+    if cls is ProcessFlow:
+        for key in ("bindings", "succedences", "goal"):
+            if fields.pop(key):
+                verb = "is" if key == "goal" else "are"
+                raise ParseError(f"{at}: {key} {verb} not supported on a process flow")
     return cls(**fields)
 
 
@@ -372,8 +380,9 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     description without `id` or with a `type` other than `plan` or
     `process_flow`, a plan without `defines`, a top-level list that is not a
     list of objects) is a ParseError naming it, and so is any record under
-    `designs` and any non-null succedence `condition`, which no answer reads
-    (an empty list and a null condition load); validation issues, duplicate
+    `designs`, any non-null succedence `condition`, and a binding, succedence
+    or goal on a process flow, which no answer reads (empty lists and a null
+    condition or goal load); validation issues, duplicate
     ids among them, are collected into one ValidationFailed. Each
     description keeps the network validation propagated."""
     store = OntologyStore()
@@ -643,5 +652,68 @@ def serialize_episode(episode: Episode, raw_events: Sequence[RawEvent]) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
-    """Byte-stable JSON text for a document."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Byte-stable JSON text for a document: byte for byte what `json.dumps`
+    writes with a two-space indent, sorted keys and `ensure_ascii=False`,
+    plus a final newline. It is written in one direct pass, as `json` would
+    write an indented document only through its pure-Python encoder. A
+    document is built of dicts with string keys, lists, tuples, strings,
+    ints, floats (NaN and the infinities as `NaN`, `Infinity` and
+    `-Infinity`), booleans and None; any other value is a TypeError, as in
+    `json`."""
+    out: List[str] = []
+    _emit(doc, out.append, "")
+    out.append("\n")
+    return "".join(out)
+
+
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _emit(v, append: Callable[[str], None], indent: str) -> None:
+    """Append the canonical text of `v`, nested at `indent`, in pieces; a
+    string member is written with its key or separator, without a call of
+    its own."""
+    t = type(v)
+    if t is str:
+        append(encode_basestring(v))
+    elif t is dict:
+        if not v:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep, next_sep = "{\n" + inner, ",\n" + inner
+        for k in sorted(v):
+            x = v[k]
+            if type(x) is str:
+                append(f"{sep}{encode_basestring(k)}: {encode_basestring(x)}")
+            else:
+                append(f"{sep}{encode_basestring(k)}: ")
+                _emit(x, append, inner)
+            sep = next_sep
+        append("\n" + indent + "}")
+    elif t is list or t is tuple:
+        if not v:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep, next_sep = "[\n" + inner, ",\n" + inner
+        for x in v:
+            if type(x) is str:
+                append(sep + encode_basestring(x))
+            else:
+                append(sep)
+                _emit(x, append, inner)
+            sep = next_sep
+        append("\n" + indent + "]")
+    elif v is None:
+        append("null")
+    elif v is True:
+        append("true")
+    elif v is False:
+        append("false")
+    elif isinstance(v, int):
+        append(int.__repr__(v))
+    elif isinstance(v, float):
+        append("NaN" if v != v else _NON_FINITE.get(v) or float.__repr__(v))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

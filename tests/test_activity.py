@@ -1,8 +1,10 @@
 import pytest
 
 from soma_kit import (
+    BaseRelation,
     Binding,
     ConceptKind,
+    ConcreteInterval,
     ConditionalSuccedence,
     EventTypeRef,
     Goal,
@@ -16,9 +18,10 @@ from soma_kit import (
     check_goal,
     compile_constraints,
     interpretation_square_violations,
+    relation_from_endpoints,
     validate_description,
 )
-from soma_kit.activity import RELATION_VOCABULARY
+from soma_kit.activity import HAS_PHASE, RELATION_VOCABULARY
 from soma_kit.errors import MissingSlot, TemporallyInconsistent
 from soma_kit.ontology import Entity, EntityKind
 
@@ -139,6 +142,20 @@ class TestCompilation:
         )
         net = compile_constraints(flow)
         assert net.query_relation("A", "B").is_full
+
+    def test_has_phase_is_phase_within_whole(self):
+        # Oracle: a phase and its whole, realized as concrete intervals with
+        # endpoints on a grid of four, stand in a relation of HAS_PHASE iff
+        # the phase lies within or coincides with the whole.
+        spans = [ConcreteInterval(a, b) for a in range(4) for b in range(a + 1, 4)]
+        realized = set()
+        for phase in spans:
+            for whole in spans:
+                relation = relation_from_endpoints(phase, whole)
+                realized.add(relation)
+                within = whole.start <= phase.start and phase.end <= whole.end
+                assert (relation in HAS_PHASE) == within, (phase, whole, relation)
+        assert realized == set(BaseRelation)
 
     def test_succedence_maps_to_before_or_meets(self):
         plan = Plan(

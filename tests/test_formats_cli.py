@@ -253,6 +253,18 @@ def raw_events(doc):
     ]
 
 
+# Documents of every JSON value: text with control and non-ASCII characters,
+# ints of any size, floats with NaN, the infinities and -0.0, lists, tuples,
+# and empty containers.
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
 class TestRoundTrip:
     def test_serialize_load_fixpoint(self, seed):
         store, descriptions = seed
@@ -267,6 +279,29 @@ class TestRoundTrip:
         a = dumps_canonical(serialize_library(store, descriptions))
         b = dumps_canonical(serialize_library(store, descriptions))
         assert a == b
+
+    @given(JSON_DOCUMENTS)
+    @example(float("nan"))
+    @example([math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300])
+    @example({"é→😀": "naïve ∆ 😀", "": ""})
+    @example({"\x00\x1f\n": "\x00\x01\x1f\x7f\t\n\r\"\\/\u2028"})
+    @example([10**100, -(10**100), 0, -1])
+    @example((1, ("a", (None,)), []))
+    @example({"a": [], "b": {}, "c": (), "d": [[], {}], "e": {"f": ()}})
+    @example([True, False, None, {"z": True, "a": False, "m": None}])
+    def test_canonical_dump_is_json_dumps(self, doc):
+        expected = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert dumps_canonical(doc) == expected
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, b"bytes", object(), 1j], ids=["set", "bytes", "object", "complex"]
+    )
+    def test_canonical_dump_of_non_json_value_is_type_error(self, value):
+        for doc in (value, {"a": [value]}):
+            with pytest.raises(TypeError):
+                json.dumps(doc)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                dumps_canonical(doc)
 
     @pytest.mark.parametrize("path", [POURING_EPISODE, AMBIGUOUS_EPISODE, MIXING_EPISODE])
     def test_episode_serialize_load_fixpoint(self, path):
@@ -414,6 +449,23 @@ CONDITIONAL_SUCCEDENCE = {
 }
 
 
+def process_flow(**fields):
+    """A process flow over the seed library's motions, with `fields` added."""
+    return {
+        "id": "MotionFlow",
+        "type": "process_flow",
+        "defines": {"id": "Motion_0", "concept": "Motion"},
+        "phases": [
+            {"id": "Approaching_0", "concept": "Approaching", "roles": ["Destination"]},
+            {"id": "Tilting_0", "concept": "Tilting", "roles": ["Patient"]},
+        ],
+        "constraints": [
+            {"left": "Approaching_0", "relation": "overlapsWith", "right": "Tilting_0"}
+        ],
+        **fields,
+    }
+
+
 # defect -> (edit of the seed library document, message on stderr)
 MALFORMED_RECORDS = {
     "unknown-kind": (
@@ -545,6 +597,31 @@ MALFORMED_RECORDS = {
     "region-hi-true": (
         lambda doc: _set(doc["concepts"][11]["restriction"], "hi", True),
         "concept 11: restriction: hi: expected a Real, got True",
+    ),
+    "process-flow-bindings": (
+        lambda doc: doc["descriptions"].append(
+            process_flow(
+                bindings=[
+                    {
+                        "id": "b",
+                        "slots": [["Approaching_0", "Destination"], ["Tilting_0", "Patient"]],
+                    }
+                ]
+            )
+        ),
+        "description MotionFlow: bindings are not supported on a process flow",
+    ),
+    "process-flow-succedences": (
+        lambda doc: doc["descriptions"].append(
+            process_flow(succedences=[{"id": "s", "earlier": "Ghost_0", "later": "Ghost_1"}])
+        ),
+        "description MotionFlow: succedences are not supported on a process flow",
+    ),
+    "process-flow-goal": (
+        lambda doc: doc["descriptions"].append(
+            process_flow(goal={"id": "g", "desired": [{"state": "Contact", "roles": []}]})
+        ),
+        "description MotionFlow: goal is not supported on a process flow",
     ),
 }
 
@@ -772,6 +849,13 @@ class TestCli:
         code, out, _ = run_cli(capsys, "validate", str(SEED_LIBRARY))
         assert code == 0
         assert "ok" in out
+
+    def test_process_flow_with_empty_plan_fields_is_valid(self, capsys, tmp_path):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        doc["descriptions"].append(process_flow(bindings=[], succedences=[], goal=None))
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(path)) == (0, "ok: library is valid\n", "")
 
     def test_validate_failure_exit_1(self, capsys, tmp_path):
         doc = {
