@@ -25,11 +25,8 @@ from .activity import (
     Goal,
     GoalResult,
     PhaseConstraint,
-    Plan,
-    ProcessFlow,
     Situation,
     ValidationIssue,
-    check_bindings,
     check_goal,
     compile_constraints,
     interpretation_square_violations,

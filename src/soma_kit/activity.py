@@ -1,22 +1,22 @@
-"""Plans and process flows, plus the machinery that checks them: structural
-validation against an ontology store, compilation of phase structure into
-an interval constraint network, binding checks, and goal checks against
+"""Descriptions (plans and process flows) and the machinery that checks
+them: structural validation against an ontology store, compilation of phase
+structure into an interval constraint network, and goal checks against
 terminal situations.
 
 Every description is a temporal network over its phases and compiles to
-one. It `defines` the event concept it conceptualizes (a task for a plan;
-optionally, a process type for a process flow) and answers `phases`,
-`bindings` and `succedences`; a process flow has neither bindings nor
-succedences and reads empty tuples.
+one. It `defines` the event concept it conceptualizes and answers `phases`,
+`bindings`, `succedences` and `goal`; its `kind` (a plan or a process flow)
+decides only which kind of concept it must define: a task for a plan, a
+process type for a process flow, which may also define none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
-from .errors import MissingSlot, TemporallyInconsistent, ValidationFailed
+from .errors import TemporallyInconsistent, ValidationFailed
 from .ontology import (
     ConceptKind,
     EVENT_CONCEPT_KINDS,
@@ -96,27 +96,18 @@ class Goal:
 
 
 @dataclass(frozen=True)
-class Plan:
-    id: str
-    defines: EventTypeRef
-    phases: Tuple[EventTypeRef, ...]
-    constraints: Tuple[PhaseConstraint, ...] = ()
-    bindings: Tuple[Binding, ...] = ()
-    succedences: Tuple[ConditionalSuccedence, ...] = ()
-    goal: Optional[Goal] = None
+class Description:
+    """A plan or a process flow, by `kind`: `ConceptKind.PLAN_DESCR` or
+    `PROCESS_FLOW_DESCR`, whose values are the JSON `type` tags."""
 
-
-@dataclass(frozen=True)
-class ProcessFlow:
     id: str
     defines: Optional[EventTypeRef] = None
     phases: Tuple[EventTypeRef, ...] = ()
     constraints: Tuple[PhaseConstraint, ...] = ()
-    bindings: ClassVar[Tuple[Binding, ...]] = ()
-    succedences: ClassVar[Tuple[ConditionalSuccedence, ...]] = ()
-
-
-Description = Union[Plan, ProcessFlow]
+    bindings: Tuple[Binding, ...] = ()
+    succedences: Tuple[ConditionalSuccedence, ...] = ()
+    goal: Optional[Goal] = None
+    kind: ConceptKind = ConceptKind.PLAN_DESCR
 
 
 @dataclass(frozen=True)
@@ -145,9 +136,10 @@ class GoalResult:
     missing: Tuple[str, ...] = ()
 
 
+#: The kind of concept a description of each kind must define.
 _DEFINES_KIND = {
-    Plan: ConceptKind.TASK,
-    ProcessFlow: ConceptKind.PROCESS_TYPE,
+    ConceptKind.PLAN_DESCR: ConceptKind.TASK,
+    ConceptKind.PROCESS_FLOW_DESCR: ConceptKind.PROCESS_TYPE,
 }
 
 
@@ -199,14 +191,13 @@ def validate_and_compile(
     for ref in refs:
         issues += _duplicate_slot_issues(ref, phase_ids)
         _check_event_type_ref(ref, store, issues)
-    # Phases may be any event concept; only the defined slot must match the arm.
+    # Phases may be any event concept; only the defined slot must match the kind.
     if d.defines is not None and store.has_concept(d.defines.concept):
-        if store.concept(d.defines.concept).kind is not _DEFINES_KIND[type(d)]:
+        defined = _DEFINES_KIND[d.kind]
+        if store.concept(d.defines.concept).kind is not defined:
             issues.append(
                 ValidationIssue(
-                    "kind-mismatch",
-                    f"{type(d).__name__} must define a "
-                    f"{_DEFINES_KIND[type(d)].value} concept",
+                    "kind-mismatch", f"{d.kind.value} must define a {defined.value} concept"
                 )
             )
     for c in d.constraints:
@@ -228,8 +219,8 @@ def validate_and_compile(
                 )
     for s in d.succedences:
         issues += _endpoint_issues(s, phase_ids)
-    if isinstance(d, Plan) and d.goal is not None:
-        plan_roles = {rid for ref in refs for rid in ref.uses_roles}
+    if d.goal is not None:
+        used_roles = {rid for ref in refs for rid in ref.uses_roles}
         for state_type, roles in d.goal.desired:
             if not store.has_concept(state_type):
                 issues.append(
@@ -240,7 +231,7 @@ def validate_and_compile(
                     ValidationIssue("kind-mismatch", f"{state_type} is not a StateType")
                 )
             for rid in roles:
-                if rid not in plan_roles:
+                if rid not in used_roles:
                     issues.append(
                         ValidationIssue("unknown-role", f"goal binds unknown role {rid}")
                     )
@@ -277,7 +268,7 @@ def _endpoint_issues(r, slot_ids: Set[str]) -> Iterator[ValidationIssue]:
 
 
 def compile_constraints(d: Description) -> ConstraintNetwork:
-    """Interval network of a plan or process flow, one variable per phase plus one for the
+    """Interval network of a description, one variable per phase plus one for the
     whole defined event, propagated to fixpoint; duplicate-slot and endpoint issues raise
     ValidationFailed."""
     ids: Set[str] = set()
@@ -313,16 +304,6 @@ def binding_classes(d: Description) -> List[FrozenSet[Tuple[str, str]]]:
         merged = b.slots.union(*(c for c in classes if c & b.slots))
         classes = [c for c in classes if not c & b.slots] + [merged]
     return classes
-
-
-def check_bindings(d: Description, grounding: Dict[Tuple[str, str], str]) -> bool:
-    """True iff every binding's slots map to one and the same entity; every
-    bound slot must be grounded."""
-    for b in d.bindings:
-        for slot in b.slots:
-            if slot not in grounding:
-                raise MissingSlot(f"binding {b.id} slot {slot} not grounded")
-    return all(len({grounding[s] for s in c}) <= 1 for c in binding_classes(d))
 
 
 def check_goal(g: Goal, situation: Situation, store: OntologyStore) -> GoalResult:

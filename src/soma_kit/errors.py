@@ -41,10 +41,6 @@ class TemporallyInconsistent(SomaKitError):
     pass
 
 
-class MissingSlot(SomaKitError):
-    pass
-
-
 class NegativeDuration(SomaKitError):
     pass
 

@@ -3,12 +3,12 @@ trees (one object per file, version-tagged), plus loaders and a normalizing
 serializer used for round-trip checks.
 
 A library holds `concepts`, `affordances` and `descriptions`; each
-description is a `plan` or a `process_flow`. A `designs` list is accepted
-only when empty, and a succedence `condition` only when null, as libraries
-written by earlier versions carry them; a design and a configuration are
-concepts of kind `design` and `configuration`, never records. Bindings,
-succedences and a goal belong to plans: a process flow may carry them only
-as empty lists and a null goal.
+description record has the same fields, and its `type`, `plan` or
+`process_flow`, is the `kind` of the `Description` it loads as. A `designs`
+list is accepted only when empty, and a succedence `condition` only when
+null, as libraries written by earlier versions carry them; a design and a
+configuration are concepts of kind `design` and `configuration`, never
+records.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .activity import (
     EventTypeRef,
     Goal,
     PhaseConstraint,
-    Plan,
-    ProcessFlow,
     RELATION_VOCABULARY,
     validate_and_compile,
 )
@@ -213,20 +211,20 @@ def restriction_to_json(r: Restriction) -> dict:
 # --- descriptions ---------------------------------------------------------------
 
 
-def _relation_from_json(node) -> RelationSet:
+def _relation_from_json(node, at: str) -> RelationSet:
     if isinstance(node, str):
         if node not in RELATION_VOCABULARY:
-            raise ParseError(f"unknown temporal relation: {node!r}")
+            raise ParseError(f"{at}: unknown temporal relation: {node!r}")
         return RELATION_VOCABULARY[node]
     if isinstance(node, list):
         for item in node:
             if not isinstance(item, str):
-                raise ParseError(f"bad relation code: {item!r}")
+                raise ParseError(f"{at}: bad relation code: {item!r}")
         try:
             return RelationSet.from_codes(" ".join(node))
         except ValueError as exc:
-            raise ParseError(f"bad relation value: {exc}") from exc
-    raise ParseError(f"bad relation value: {node!r}")
+            raise ParseError(f"{at}: bad relation value: {exc}") from exc
+    raise ParseError(f"{at}: bad relation value: {node!r}")
 
 
 def _relation_to_json(rs: RelationSet):
@@ -252,56 +250,49 @@ def _ref_to_json(ref: EventTypeRef) -> dict:
     }
 
 
-#: Description classes by their JSON "type" tag, and back.
-_DESCRIPTION_TYPES = {"plan": Plan, "process_flow": ProcessFlow}
-_DESCRIPTION_TAGS = {cls: tag for tag, cls in _DESCRIPTION_TYPES.items()}
+#: Description kinds by their JSON "type" tag.
+_DESCRIPTION_KINDS = {k.value: k for k in (ConceptKind.PLAN_DESCR, ConceptKind.PROCESS_FLOW_DESCR)}
 
 
 def _description_from_json(at: str, node: dict) -> Description:
     """Description of record `at`; a record without `id`, a plan without
     `defines`, an unknown `type`, a phase, constraint, binding or succedence
-    without a field it needs, a succedence with a `condition`, or a process
-    flow with a binding, a succedence or a goal is a ParseError naming the
-    record (empty lists and a null goal load)."""
+    without a field it needs, or a succedence with a `condition` is a
+    ParseError naming the record."""
     did = _required(node, "id", at)
     at = f"description {did}"
     tag = node.get("type")
-    cls = _DESCRIPTION_TYPES.get(tag) if isinstance(tag, str) else None
-    if cls is None:
+    kind = _DESCRIPTION_KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None:
         raise ParseError(f"{at}: unknown description type: {tag!r}")
     defines = _optional(node, "defines", at, dict)
-    if cls is Plan and defines is None:
+    if kind is ConceptKind.PLAN_DESCR and defines is None:
         raise ParseError(f"{at}: missing 'defines'")
     if defines is not None:
         defines = _ref_from_json(f"{at}: defines", defines)
     goal = _optional(node, "goal", at, dict)
-    fields = {
-        "id": did,
-        "defines": defines,
-        "phases": tuple(_ref_from_json(p_at, p) for p_at, p in _records(node, "phases", at)),
-        "constraints": tuple(
+    return Description(
+        id=did,
+        defines=defines,
+        phases=tuple(_ref_from_json(p_at, p) for p_at, p in _records(node, "phases", at)),
+        constraints=tuple(
             PhaseConstraint(
                 _required(c, "left", c_at),
-                _relation_from_json(_required(c, "relation", c_at, object)),
+                _relation_from_json(_required(c, "relation", c_at, object), c_at),
                 _required(c, "right", c_at),
             )
             for c_at, c in _records(node, "constraints", at)
         ),
-        "bindings": tuple(
+        bindings=tuple(
             Binding(_required(b, "id", b_at), _binding_slots(b, b_at))
             for b_at, b in _records(node, "bindings", at)
         ),
-        "succedences": tuple(
+        succedences=tuple(
             _succedence_from_json(s_at, s) for s_at, s in _records(node, "succedences", at)
         ),
-        "goal": None if goal is None else _goal_from_json(goal, f"{at}: goal"),
-    }
-    if cls is ProcessFlow:
-        for key in ("bindings", "succedences", "goal"):
-            if fields.pop(key):
-                verb = "is" if key == "goal" else "are"
-                raise ParseError(f"{at}: {key} {verb} not supported on a process flow")
-    return cls(**fields)
+        goal=None if goal is None else _goal_from_json(goal, f"{at}: goal"),
+        kind=kind,
+    )
 
 
 def _succedence_from_json(at: str, node: dict) -> ConditionalSuccedence:
@@ -330,24 +321,22 @@ def _goal_from_json(goal: dict, at: str) -> Goal:
 
 
 def _description_to_json(d: Description) -> dict:
-    node = {
+    return {
         "id": d.id,
-        "type": _DESCRIPTION_TAGS[type(d)],
+        "type": d.kind.value,
         "defines": _ref_to_json(d.defines) if d.defines else None,
         "phases": [_ref_to_json(p) for p in d.phases],
         "constraints": [
             {"left": c.left, "relation": _relation_to_json(c.relation), "right": c.right}
             for c in d.constraints
         ],
-    }
-    if isinstance(d, Plan):
-        node["bindings"] = [
+        "bindings": [
             {"id": b.id, "slots": sorted(list(s) for s in b.slots)} for b in d.bindings
-        ]
-        node["succedences"] = [
+        ],
+        "succedences": [
             {"id": s.id, "earlier": s.earlier, "later": s.later} for s in d.succedences
-        ]
-        node["goal"] = (
+        ],
+        "goal": (
             {
                 "id": d.goal.id,
                 "desired": [
@@ -356,8 +345,8 @@ def _description_to_json(d: Description) -> dict:
             }
             if d.goal
             else None
-        )
-    return node
+        ),
+    }
 
 
 # --- library --------------------------------------------------------------------
@@ -380,9 +369,8 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     description without `id` or with a `type` other than `plan` or
     `process_flow`, a plan without `defines`, a top-level list that is not a
     list of objects) is a ParseError naming it, and so is any record under
-    `designs`, any non-null succedence `condition`, and a binding, succedence
-    or goal on a process flow, which no answer reads (empty lists and a null
-    condition or goal load); validation issues, duplicate
+    `designs` and any non-null succedence `condition`, which no answer reads
+    (an empty list and a null condition load); validation issues, duplicate
     ids among them, are collected into one ValidationFailed. Each
     description keeps the network validation propagated."""
     store = OntologyStore()

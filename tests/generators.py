@@ -6,11 +6,11 @@ from soma_kit import (
     Binding,
     ConceptKind,
     ConcreteInterval,
+    Description,
     EventTypeRef,
     HasDisposition,
     OntologyStore,
     PhaseConstraint,
-    Plan,
     RawEvent,
     Scene,
     Token,
@@ -62,7 +62,7 @@ def random_scene(rng: random.Random) -> Scene:
     return Scene(objects)
 
 
-def random_plan(rng: random.Random, store, plan_id="GenPlan", max_phases=4) -> Plan:
+def random_plan(rng: random.Random, store, plan_id="GenPlan", max_phases=4) -> Description:
     """A random, validation-clean plan; retries until temporally consistent."""
     while True:
         n_phases = rng.randint(1, max_phases)
@@ -91,7 +91,7 @@ def random_plan(rng: random.Random, store, plan_id="GenPlan", max_phases=4) -> P
             pair = rng.sample(slots, 2)
             if pair[0] != pair[1]:
                 bindings.append(Binding("bind0", frozenset(pair)))
-        plan = Plan(
+        plan = Description(
             id=plan_id,
             defines=EventTypeRef("task0", "GenericTask"),
             phases=phases,

@@ -31,8 +31,6 @@ from operator import or_
 from soma_kit import (
     BaseRelation,
     ConcreteInterval,
-    Plan,
-    ProcessFlow,
     RawEvent,
     RelationSet,
     Token,
@@ -306,7 +304,7 @@ def parse_oracle(episode, library, store):
 
     results = set()
     for d in library:
-        if not isinstance(d, (Plan, ProcessFlow)) or not d.phases:
+        if not d.phases:
             continue
         net = compile_constraints(d)
         phases = list(d.phases)

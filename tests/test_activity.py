@@ -6,24 +6,31 @@ from soma_kit import (
     ConceptKind,
     ConcreteInterval,
     ConditionalSuccedence,
+    Description,
+    Entity,
+    EntityKind,
+    Episode,
     EventTypeRef,
     Goal,
+    Interpretation,
     OntologyStore,
     PhaseConstraint,
-    Plan,
-    ProcessFlow,
     RelationSet,
+    Scene,
     Situation,
-    check_bindings,
+    Token,
+    TokenClass,
     check_goal,
     compile_constraints,
     interpretation_square_violations,
     relation_from_endpoints,
     validate_description,
+    verify_interpretation,
 )
-from soma_kit.activity import HAS_PHASE, RELATION_VOCABULARY
-from soma_kit.errors import MissingSlot, TemporallyInconsistent
-from soma_kit.ontology import Entity, EntityKind
+from soma_kit.activity import HAS_PHASE, RELATION_VOCABULARY, binding_classes
+from soma_kit.errors import TemporallyInconsistent
+
+FLOW = ConceptKind.PROCESS_FLOW_DESCR
 
 
 def rs(codes):
@@ -43,7 +50,7 @@ def build_store():
 
 
 def pouring_plan(goal=None):
-    return Plan(
+    return Description(
         id="PouringPlan",
         defines=EventTypeRef(
             "Pouring_0", "Pouring", uses_roles=("Patient", "Source", "Destination")
@@ -70,7 +77,7 @@ class TestValidation:
 
     def test_dangling_phase_reference(self):
         store = build_store().freeze()
-        plan = Plan(
+        plan = Description(
             id="P",
             defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("Approaching_0", "Approaching"),),
@@ -83,7 +90,7 @@ class TestValidation:
 
     def test_temporal_contradiction(self):
         store = build_store().freeze()
-        plan = Plan(
+        plan = Description(
             id="P",
             defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(
@@ -100,19 +107,19 @@ class TestValidation:
 
     def test_unknown_concept(self):
         store = build_store().freeze()
-        plan = Plan(id="P", defines=EventTypeRef("X_0", "Levitating"), phases=())
+        plan = Description(id="P", defines=EventTypeRef("X_0", "Levitating"), phases=())
         issues = validate_description(plan, store)
         assert any(i.code == "unknown-concept" for i in issues)
 
     def test_cross_wired_defines_kind(self):
         store = build_store().freeze()
-        flow = ProcessFlow(id="F", defines=EventTypeRef("Pouring_0", "Pouring"))
+        flow = Description(id="F", defines=EventTypeRef("Pouring_0", "Pouring"), kind=FLOW)
         issues = validate_description(flow, store)
         assert any(i.code == "kind-mismatch" for i in issues)
 
     def test_binding_needs_two_slots(self):
         store = build_store().freeze()
-        plan = Plan(
+        plan = Description(
             id="P",
             defines=EventTypeRef("Pouring_0", "Pouring", uses_roles=("Source",)),
             phases=(),
@@ -136,9 +143,10 @@ class TestCompilation:
         assert net.query_relation("Pouring_0", "Approaching_0") == rs("si")
 
     def test_unconstrained_phases_stay_unconstrained(self):
-        flow = ProcessFlow(
+        flow = Description(
             id="F",
             phases=(EventTypeRef("A", "Approaching"), EventTypeRef("B", "Tilting")),
+            kind=FLOW,
         )
         net = compile_constraints(flow)
         assert net.query_relation("A", "B").is_full
@@ -158,7 +166,7 @@ class TestCompilation:
         assert realized == set(BaseRelation)
 
     def test_succedence_maps_to_before_or_meets(self):
-        plan = Plan(
+        plan = Description(
             id="P",
             defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("T1", "Approaching"), EventTypeRef("T2", "Tilting")),
@@ -168,7 +176,7 @@ class TestCompilation:
         assert net.query_relation("T1", "T2") == rs("b m")
 
     def test_inconsistent_plan_raises(self):
-        plan = Plan(
+        plan = Description(
             id="P",
             defines=EventTypeRef("Pouring_0", "Pouring"),
             phases=(EventTypeRef("A", "Approaching"), EventTypeRef("B", "Tilting")),
@@ -181,10 +189,11 @@ class TestCompilation:
             compile_constraints(plan)
 
     def test_empty_label_raises(self):
-        flow = ProcessFlow(
+        flow = Description(
             id="F",
             phases=(EventTypeRef("A", "Approaching"), EventTypeRef("B", "Tilting")),
             constraints=(PhaseConstraint("A", RelationSet.empty(), "B"),),
+            kind=FLOW,
         )
         with pytest.raises(TemporallyInconsistent, match="between A and B"):
             compile_constraints(flow)
@@ -195,29 +204,55 @@ class TestCompilation:
         assert a == b
 
 
+def pouring_episode():
+    """Approaching the bowl overlapped by tilting the pot."""
+    scene = Scene({e: Entity(e, e, EntityKind.OBJECT, e) for e in ("bowl", "pot", "cup")})
+    tokens = (
+        Token("t0", TokenClass.MOTION_EVENT, "Approaching", ("bowl",), ConcreteInterval(0.0, 2.0)),
+        Token("t1", TokenClass.MOTION_EVENT, "Tilting", ("pot",), ConcreteInterval(1.0, 3.0)),
+    )
+    return Episode("e", tokens, scene)
+
+
+def verifies(role_grounding):
+    """Whether the pouring plan's interpretation of `pouring_episode` that
+    grounds Approaching_0 to t0, Tilting_0 to t1 and the roles as given
+    verifies."""
+    store = build_store().freeze()
+    phases = (("Approaching_0", "t0"), ("Tilting_0", "t1"))
+    interp = Interpretation("PouringPlan", phases, tuple(role_grounding.items()), 1.0, 0.0)
+    return verify_interpretation(interp, pouring_episode(), [pouring_plan()], store)
+
+
 class TestBindings:
     def test_same_entity_satisfies(self):
-        grounding = {("Pouring_0", "Source"): "pot", ("Tilting_0", "Patient"): "pot"}
-        assert check_bindings(pouring_plan(), grounding)
+        grounding = {("Approaching_0", "Destination"): "bowl", ("Tilting_0", "Patient"): "pot"}
+        assert verifies({**grounding, ("Pouring_0", "Source"): "pot"})
 
     def test_distinct_entities_fail(self):
-        grounding = {("Pouring_0", "Source"): "pot", ("Tilting_0", "Patient"): "cup"}
-        assert not check_bindings(pouring_plan(), grounding)
+        grounding = {("Approaching_0", "Destination"): "bowl", ("Tilting_0", "Patient"): "pot"}
+        assert not verifies({**grounding, ("Pouring_0", "Source"): "cup"})
 
     def test_no_bindings_vacuous(self):
-        flow = ProcessFlow(id="F", phases=(EventTypeRef("A", "Approaching"),))
-        assert check_bindings(flow, {})
+        flow = Description(id="F", phases=(EventTypeRef("A", "Approaching"),), kind=FLOW)
+        assert binding_classes(flow) == []
 
     def test_missing_slot(self):
-        with pytest.raises(MissingSlot):
-            check_bindings(pouring_plan(), {("Pouring_0", "Source"): "pot"})
+        # A bound slot the interpretation leaves ungrounded.
+        grounding = {("Approaching_0", "Destination"): "bowl", ("Tilting_0", "Patient"): "pot"}
+        assert not verifies(grounding)
 
     def test_equivalence_closure_insensitive(self):
-        # collapsing bound slots to one variable yields the same verdict
-        plan = pouring_plan()
-        grounding = {("Pouring_0", "Source"): "pot", ("Tilting_0", "Patient"): "pot"}
-        collapsed = {slot: "pot" for slot in grounding}
-        assert check_bindings(plan, grounding) == check_bindings(plan, collapsed)
+        # Bindings that share a slot merge into one class, in any order.
+        a, b, c, d = (("A", "R"), ("B", "R"), ("C", "R"), ("D", "R"))
+        bindings = (
+            Binding("b1", frozenset({a, b})),
+            Binding("b2", frozenset({c, d})),
+            Binding("b3", frozenset({b, c})),
+        )
+        for order in (bindings, bindings[::-1]):
+            plan = Description("P", bindings=order)
+            assert binding_classes(plan) == [frozenset({a, b, c, d})]
 
 
 class TestGoals:
@@ -282,3 +317,13 @@ class TestInterpretationSquare:
             [situation], {plan.id: plan}, self.pouring_edge(store)
         )
         assert any("no setting" in v for v in violations)
+
+    def test_non_event_classification_is_reported(self):
+        store = build_store().freeze()
+        plan = pouring_plan()
+        pot = Entity("pot", "pot", EntityKind.OBJECT, "Pot")
+        situation = Situation(id="S", included_events=frozenset({"pot"}), satisfies=plan.id)
+        violations = interpretation_square_violations(
+            [situation], {plan.id: plan}, [("Pouring", pot)]
+        )
+        assert violations == ["Pouring classifies non-event entity pot"]

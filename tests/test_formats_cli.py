@@ -598,30 +598,17 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["concepts"][11]["restriction"], "hi", True),
         "concept 11: restriction: hi: expected a Real, got True",
     ),
-    "process-flow-bindings": (
-        lambda doc: doc["descriptions"].append(
-            process_flow(
-                bindings=[
-                    {
-                        "id": "b",
-                        "slots": [["Approaching_0", "Destination"], ["Tilting_0", "Patient"]],
-                    }
-                ]
-            )
-        ),
-        "description MotionFlow: bindings are not supported on a process flow",
+    "relation-unknown-name": (
+        lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", "during-ish"),
+        "description PouringPlan: constraint 1: unknown temporal relation: 'during-ish'",
     ),
-    "process-flow-succedences": (
-        lambda doc: doc["descriptions"].append(
-            process_flow(succedences=[{"id": "s", "earlier": "Ghost_0", "later": "Ghost_1"}])
-        ),
-        "description MotionFlow: succedences are not supported on a process flow",
+    "relation-code-not-a-string": (
+        lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", [1]),
+        "description PouringPlan: constraint 1: bad relation code: 1",
     ),
-    "process-flow-goal": (
-        lambda doc: doc["descriptions"].append(
-            process_flow(goal={"id": "g", "desired": [{"state": "Contact", "roles": []}]})
-        ),
-        "description MotionFlow: goal is not supported on a process flow",
+    "relation-a-number": (
+        lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", 1),
+        "description PouringPlan: constraint 1: bad relation value: 1",
     ),
 }
 
@@ -785,6 +772,26 @@ VALIDATION_ISSUES = {
         lambda doc: _set(doc["descriptions"][0], "goal", _goal("Contact", "Ghost")),
         "PouringPlan: unknown-role: goal binds unknown role Ghost",
     ),
+    "plan-defines-a-process-type": (
+        lambda doc: _set(doc["descriptions"][0]["defines"], "concept", "Motion"),
+        "PouringPlan: kind-mismatch: plan must define a task concept",
+    ),
+    "process-flow-defines-a-task": (
+        lambda doc: doc["descriptions"].append(
+            process_flow(defines={"id": "Pouring_0", "concept": "Pouring"})
+        ),
+        "MotionFlow: kind-mismatch: process_flow must define a process_type concept",
+    ),
+    "process-flow-succedence-unknown-phase": (
+        lambda doc: doc["descriptions"].append(
+            process_flow(succedences=[{"id": "s", "earlier": "Ghost_0", "later": "Tilting_0"}])
+        ),
+        "MotionFlow: unknown-phase: succedence references Ghost_0",
+    ),
+    "process-flow-goal-unknown-concept": (
+        lambda doc: doc["descriptions"].append(process_flow(goal=_goal("Ghost"))),
+        "MotionFlow: unknown-concept: goal references Ghost",
+    ),
 }
 
 
@@ -856,6 +863,21 @@ class TestCli:
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))
         assert run_cli(capsys, "validate", str(path)) == (0, "ok: library is valid\n", "")
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_process_flow_bindings_narrow_parse(self, capsys, tmp_path, bound):
+        # The episode's Approaching and Tilting tokens have different
+        # participants, so binding the two slots leaves no interpretation.
+        slots = [["Approaching_0", "Destination"], ["Tilting_0", "Patient"]]
+        doc = json.loads(SEED_LIBRARY.read_text())
+        bindings = [{"id": "b", "slots": slots}] if bound else []
+        doc["descriptions"].append(process_flow(bindings=bindings))
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(path)) == (0, "ok: library is valid\n", "")
+        code, out, _ = run_cli(capsys, "parse", str(path), str(POURING_EPISODE))
+        assert code == 0
+        assert out.count("plan=MotionFlow") == (0 if bound else 1)
 
     def test_validate_failure_exit_1(self, capsys, tmp_path):
         doc = {

@@ -14,6 +14,7 @@ from soma_kit import (
     ConceptKind,
     ConditionalSuccedence,
     ConcreteInterval,
+    Description,
     Entity,
     EntityKind,
     Episode,
@@ -21,7 +22,6 @@ from soma_kit import (
     Interpretation,
     OntologyStore,
     PhaseConstraint,
-    Plan,
     RawEvent,
     Scene,
     Token,
@@ -247,7 +247,7 @@ class TestParseSeed:
 
     def test_plan_without_phases_is_skipped(self, seed, pouring_episode):
         store, library = seed
-        bare = Plan("BarePlan", library[0].defines, ())
+        bare = Description("BarePlan", library[0].defines, ())
         with_bare = parse(pouring_episode, list(library) + [bare], store)
         assert with_bare == parse(pouring_episode, library, store)
 
@@ -302,7 +302,8 @@ class TestEventTypes:
 
     def test_unknown_phase_concept_raises(self):
         store, episode = two_reach_case()
-        plan = Plan("P", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Ghost"),))
+        task = EventTypeRef("task0", "GenericTask")
+        plan = Description("P", task, (EventTypeRef("ph0", "Ghost"),))
         with pytest.raises(UnknownId, match="unknown concept: Ghost"):
             parse(episode, [plan], store)
         interp = Interpretation("P", (("ph0", "t0"),), (), 0.5, 0.0)
@@ -316,7 +317,8 @@ class TestEventTypes:
         store.add_concept("Motion", ConceptKind.PROCESS_TYPE, concept_id="Motion")
         store.add_concept("GenericTask", ConceptKind.TASK, concept_id="GenericTask")
         _, episode = two_reach_case()
-        plan = Plan("P", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Motion"),))
+        task = EventTypeRef("task0", "GenericTask")
+        plan = Description("P", task, (EventTypeRef("ph0", "Motion"),))
         assert parse(episode, [plan], store) == []
         store.add_concept("Reach", ConceptKind.PROCESS_TYPE, parents={"Motion"}, concept_id="Reach")
         assert len(parse(episode, [plan], store)) == 2
@@ -352,7 +354,7 @@ def two_reach_case():
 def chain_plan(plan_id, *relations):
     """Plan of Reach phases ph0..phN, each related to the next by one named
     relation."""
-    return Plan(
+    return Description(
         plan_id,
         EventTypeRef("task0", "GenericTask"),
         tuple(EventTypeRef(f"ph{i}", "Reach") for i in range(len(relations) + 1)),
@@ -527,7 +529,7 @@ def realizable_plans(draw, plan_id, max_phases):
     if len(slots) >= 2 and draw(st.booleans()):
         pair = draw(st.lists(st.sampled_from(slots), min_size=2, max_size=2, unique=True))
         bindings = (Binding("b0", frozenset(pair)),)
-    return Plan(
+    return Description(
         plan_id, EventTypeRef("task0", "GenericTask"), phases, tuple(constraints), bindings
     )
 
@@ -616,7 +618,7 @@ def bound_plans(draw):
         for q in phases[i + 1:]
         if draw(st.booleans())
     )
-    plan = Plan("BoundPlan", defines, phases, constraints, bindings)
+    plan = Description("BoundPlan", defines, phases, constraints, bindings)
     assume(not validate_description(plan, store))
     return plan
 
@@ -633,7 +635,7 @@ class TestBindingClosure:
         store.freeze()
         b1 = Binding("b1", frozenset({("task", "R"), ("task", "S")}))
         b2 = Binding("b2", frozenset({("task", "S"), ("p1", "R")}))
-        plan = Plan(
+        plan = Description(
             "P",
             EventTypeRef("task", "Task", uses_roles=("R", "S")),
             (EventTypeRef("p1", "Motion", uses_roles=("R",)),),
@@ -761,7 +763,7 @@ class TestVerify:
 
     def test_two_phases_on_one_token_fail(self):
         store = build_generator_store()
-        plan = Plan(
+        plan = Description(
             "P",
             EventTypeRef("task0", "GenericTask"),
             (EventTypeRef("ph0", "Motion"), EventTypeRef("ph1", "Motion")),
