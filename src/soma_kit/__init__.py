@@ -42,7 +42,6 @@ from .grounding import (
     select_objects,
 )
 from .ontology import (
-    AffordanceSpec,
     And,
     ClassificationResult,
     Concept,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .allen import BaseRelation, ConstraintNetwork, RelationSet
-from .errors import TemporallyInconsistent, ValidationFailed
+from .errors import KindMismatch, TemporallyInconsistent, ValidationFailed
 from .ontology import (
     ConceptKind,
     EVENT_CONCEPT_KINDS,
@@ -77,7 +77,7 @@ class Binding:
     """Identity constraint: all slots ground to the same entity."""
 
     id: str
-    slots: FrozenSet[Tuple[str, str]]  # (phase or task id, role/parameter id)
+    slots: FrozenSet[Tuple[str, str]]  # (phase or task id, role id)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ class Goal:
 @dataclass(frozen=True)
 class Description:
     """A plan or a process flow, by `kind`: `ConceptKind.PLAN_DESCR` or
-    `PROCESS_FLOW_DESCR`, whose values are the JSON `type` tags."""
+    `PROCESS_FLOW_DESCR`, whose values are the JSON `type` tags; any other
+    kind is a KindMismatch."""
 
     id: str
     defines: Optional[EventTypeRef] = None
@@ -108,6 +109,10 @@ class Description:
     succedences: Tuple[ConditionalSuccedence, ...] = ()
     goal: Optional[Goal] = None
     kind: ConceptKind = ConceptKind.PLAN_DESCR
+
+    def __post_init__(self):
+        if self.kind not in _DEFINES_KIND:
+            raise KindMismatch(f"description {self.id}: not a plan or process_flow: {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -204,15 +209,13 @@ def validate_and_compile(
         issues += _endpoint_issues(c, phase_ids)
         if c.relation.is_empty:
             issues.append(ValidationIssue("empty-relation", f"{c.left}/{c.right} label is empty"))
-    declared_roles = {
-        (ref.id, rid) for ref in refs for rid in ref.uses_roles + ref.uses_parameters
-    }
+    declared_roles = {(ref.id, rid) for ref in refs for rid in ref.uses_roles}
     for b in d.bindings:
         if len(b.slots) < 2:
             issues.append(
                 ValidationIssue("binding-too-small", f"binding {b.id} needs >= 2 slots")
             )
-        for slot in b.slots:
+        for slot in sorted(b.slots):
             if slot not in declared_roles:
                 issues.append(
                     ValidationIssue("unknown-binding-slot", f"binding {b.id} references {slot}")
@@ -220,7 +223,7 @@ def validate_and_compile(
     for s in d.succedences:
         issues += _endpoint_issues(s, phase_ids)
     if d.goal is not None:
-        used_roles = {rid for ref in refs for rid in ref.uses_roles}
+        used_roles = {rid for _, rid in declared_roles}
         for state_type, roles in d.goal.desired:
             if not store.has_concept(state_type):
                 issues.append(

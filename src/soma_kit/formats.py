@@ -2,13 +2,12 @@
 trees (one object per file, version-tagged), plus loaders and a normalizing
 serializer used for round-trip checks.
 
-A library holds `concepts`, `affordances` and `descriptions`; each
-description record has the same fields, and its `type`, `plan` or
-`process_flow`, is the `kind` of the `Description` it loads as. A `designs`
-list is accepted only when empty, and a succedence `condition` only when
-null, as libraries written by earlier versions carry them; a design and a
-configuration are concepts of kind `design` and `configuration`, never
-records.
+A library holds `concepts` and `descriptions`; each description record has
+the same fields, and its `type`, `plan` or `process_flow`, is the `kind` of
+the `Description` it loads as. An `affordances` or `designs` list is
+accepted only when empty, and a succedence `condition` only when null, as
+libraries written by earlier versions carry them; an affordance, a design
+and a configuration are concepts of their kind, never records.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .errors import (
 )
 from .grounding import Scene
 from .ontology import (
-    AffordanceSpec,
     And,
     ConceptKind,
     Disposition,
@@ -369,30 +367,20 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     description without `id` or with a `type` other than `plan` or
     `process_flow`, a plan without `defines`, a top-level list that is not a
     list of objects) is a ParseError naming it, and so is any record under
-    `designs` and any non-null succedence `condition`, which no answer reads
-    (an empty list and a null condition load); validation issues, duplicate
-    ids among them, are collected into one ValidationFailed. Each
-    description keeps the network validation propagated."""
+    `affordances` or `designs` and any non-null succedence `condition`, which
+    no answer reads (an empty list and a null condition load); validation
+    issues, duplicate ids among them, are collected into one
+    ValidationFailed. Each description keeps the network validation
+    propagated."""
     store = OntologyStore()
     issues: List[str] = []
     _add_concepts(doc, store, issues)
 
-    for at, node in _records(doc, "affordances"):
-        try:
-            store.add_affordance(
-                AffordanceSpec(
-                    concept=_required(node, "concept", at),
-                    bearer_role=_required(node, "bearer", at),
-                    trigger_role=_required(node, "trigger", at),
-                    background_role=_optional(node, "background", at),
-                )
-            )
-        except (KindMismatch, UnknownId) as exc:
-            issues.append(f"affordance {node.get('concept')}: {exc}")
-
-    designs = _records(doc, "designs")
-    if designs:
-        raise ParseError(f"{designs[0][0]}: design records are not supported")
+    for key in ("affordances", "designs"):
+        unread = _records(doc, key)
+        if unread:
+            at = unread[0][0]  # e.g. "design 0"
+            raise ParseError(f"{at}: {at.rsplit(' ', 1)[0]} records are not supported")
 
     descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
 
@@ -473,15 +461,6 @@ def serialize_library(store: OntologyStore, descriptions: Sequence[Description])
                 else None,
             }
             for c in sorted(store.concepts(), key=lambda c: c.id)
-        ],
-        "affordances": [
-            {
-                "concept": a.concept,
-                "bearer": a.bearer_role,
-                "trigger": a.trigger_role,
-                "background": a.background_role,
-            }
-            for a in sorted(store.affordances(), key=lambda a: a.concept)
         ],
         "descriptions": [
             _description_to_json(d) for d in sorted(descriptions, key=lambda d: d.id)

@@ -80,23 +80,16 @@ def force_outcome(expr: ForceExpression) -> ForceOutcome:
 
 
 def admits(role_id: str, eid: str, scene: Scene, store: OntologyStore) -> bool:
-    """Whether scene entity `eid` may play concept `role_id`: a Role admits
-    the scene objects it classifies; any other concept (a bound parameter)
-    admits every entity."""
-    if store.concept(role_id).kind is not ConceptKind.ROLE:
-        return True
+    """Whether scene entity `eid` may play Role `role_id`: the role
+    classifies it."""
     return eid in scene and store.check_classification(role_id, scene.entity(eid))
 
 
 def select_objects(
     task: EventTypeRef, scene: Scene, store: OntologyStore
 ) -> Dict[str, FrozenSet[str]]:
-    """For each role of the task, the scene objects it admits.
-
-    Only the roles' own restrictions decide: no affordance record
-    (`AffordanceSpec` bearer, trigger or background) is read, so a role
-    admits an object whatever affordance pairs it with another role.
-    """
+    """For each role of the task, the scene objects it admits: only the
+    role's own restriction decides."""
     result: Dict[str, FrozenSet[str]] = {}
     for role_id in task.uses_roles:
         if not store.has_concept(role_id):

@@ -164,18 +164,6 @@ class Concept:
 
 
 @dataclass(frozen=True)
-class AffordanceSpec:
-    concept: str
-    bearer_role: str
-    trigger_role: str
-    background_role: Optional[str] = None
-
-    def __post_init__(self):
-        if self.bearer_role == self.trigger_role:
-            raise KindMismatch("bearer and trigger roles must differ")
-
-
-@dataclass(frozen=True)
 class ClassificationResult:
     accepted: bool
     reason: Optional[str] = None
@@ -191,9 +179,9 @@ ACCEPTED = ClassificationResult(True)
 
 
 class OntologyStore:
-    """In-memory store of the descriptive branch: concepts and affordance
-    records. A design is a concept of kind `design`, a taxonomy node with
-    no record of its own. Ground entities live in each episode's Scene.
+    """In-memory store of the descriptive branch: its concepts. An
+    affordance or a design is a concept of its kind, a taxonomy node with no
+    record of its own. Ground entities live in each episode's Scene.
 
     Mutating operations are only legal before :meth:`freeze`; afterwards the
     store is read-only and safe to share between concurrent readers.
@@ -203,7 +191,6 @@ class OntologyStore:
         self._concepts: Dict[str, Concept] = {}
         self._by_name: Dict[str, List[Concept]] = {}
         self._ancestors: Dict[str, FrozenSet[str]] = {}
-        self._affordances: Dict[str, AffordanceSpec] = {}
         self._ids = itertools.count(1)
         self._frozen = False
 
@@ -309,20 +296,6 @@ class OntologyStore:
         """True iff b is reachable from a via parent edges (reflexive)."""
         self.concept(b)
         return b in self.ancestors(a)
-
-    # -- affordances
-
-    def add_affordance(self, spec: AffordanceSpec) -> None:
-        self._check_mutable()
-        if self.concept(spec.concept).kind is not ConceptKind.AFFORDANCE_DESCR:
-            raise KindMismatch(f"{spec.concept} is not an affordance concept")
-        for role in filter(None, (spec.bearer_role, spec.trigger_role, spec.background_role)):
-            if self.concept(role).kind is not ConceptKind.ROLE:
-                raise KindMismatch(f"affordance slot {role} is not a Role")
-        self._affordances[spec.concept] = spec
-
-    def affordances(self) -> Tuple[AffordanceSpec, ...]:
-        return tuple(self._affordances.values())
 
     # -- classification
 

@@ -28,7 +28,7 @@ from soma_kit import (
     verify_interpretation,
 )
 from soma_kit.activity import HAS_PHASE, RELATION_VOCABULARY, binding_classes
-from soma_kit.errors import TemporallyInconsistent
+from soma_kit.errors import KindMismatch, TemporallyInconsistent
 
 FLOW = ConceptKind.PROCESS_FLOW_DESCR
 
@@ -116,6 +116,15 @@ class TestValidation:
         flow = Description(id="F", defines=EventTypeRef("Pouring_0", "Pouring"), kind=FLOW)
         issues = validate_description(flow, store)
         assert any(i.code == "kind-mismatch" for i in issues)
+
+    @pytest.mark.parametrize(
+        "defines", [None, EventTypeRef("Pouring_0", "Pouring")], ids=["none", "a-task"]
+    )
+    def test_kind_must_be_a_description_kind(self, defines):
+        # The reader knows only the two tags, so no other kind is built.
+        for kind in set(ConceptKind) - {ConceptKind.PLAN_DESCR, FLOW}:
+            with pytest.raises(KindMismatch, match="^description D: not a plan or process_flow"):
+                Description("D", defines, kind=kind)
 
     def test_binding_needs_two_slots(self):
         store = build_store().freeze()

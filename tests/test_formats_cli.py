@@ -34,7 +34,15 @@ from soma_kit.formats import (
     restriction_from_json,
     restriction_to_json,
 )
-from soma_kit.ontology import EntityKind, HasDisposition, KindIs, OntologyStore, Or, RegionWithin
+from soma_kit.ontology import (
+    ConceptKind,
+    EntityKind,
+    HasDisposition,
+    KindIs,
+    OntologyStore,
+    Or,
+    RegionWithin,
+)
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from oracles import add_concepts_fixpoint
@@ -99,6 +107,14 @@ class TestLibraryLoading:
         store, library = load_library_document(doc)
         assert store.has_concept("ContainerDesign")
         assert [d.id for d in library] == [d["id"] for d in doc["descriptions"]]
+
+    def test_empty_affordances_list_loads(self):
+        # Canonical files of earlier versions carry "affordances": [].
+        doc = json.loads(SEED_LIBRARY.read_text())
+        assert doc["affordances"] == []
+        store, library = load_library_document(doc)
+        assert store.concept("ContainmentAffordance").kind is ConceptKind.AFFORDANCE_DESCR
+        assert [d.id for d in library] == ["PouringPlan"]
 
     @pytest.mark.parametrize("condition", ["absent", "null"])
     def test_unconditional_succedence_loads(self, condition):
@@ -425,11 +441,17 @@ def _set(node, key, value):
     node[key] = value
 
 
-# A design record as libraries of earlier versions wrote it.
+# A design record and an affordance record as libraries of earlier versions
+# wrote them.
 DESIGN_RECORD = {
     "concept": "ContainerDesign",
     "aspect": "functional",
     "restriction": {"op": "has_disposition", "disposition": "Containment"},
+}
+AFFORDANCE_RECORD = {
+    "concept": "ContainmentAffordance",
+    "bearer": "Container",
+    "trigger": "Patient",
 }
 
 
@@ -504,9 +526,9 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["concepts"][0], "id", [1]),
         "concept 0: id: expected a str, got [1]",
     ),
-    "affordance-without-bearer": (
-        lambda doc: _set(doc, "affordances", [{"concept": "x"}]),
-        "affordance 0: missing 'bearer'",
+    "affordance-record": (
+        lambda doc: _set(doc, "affordances", [AFFORDANCE_RECORD]),
+        "affordance 0: affordance records are not supported",
     ),
     "goal-without-desired": (
         lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g"}),
@@ -547,14 +569,6 @@ MALFORMED_RECORDS = {
     "description-type-not-a-string": (
         lambda doc: _set(doc["descriptions"][0], "type", [1]),
         "description PouringPlan: unknown description type: [1]",
-    ),
-    "affordance-background-a-list": (
-        lambda doc: _set(doc["affordances"][0], "background", [1]),
-        "affordance 0: background: expected a str, got [1]",
-    ),
-    "affordance-background-a-number": (
-        lambda doc: _set(doc["affordances"][0], "background", 1),
-        "affordance 0: background: expected a str, got 1",
     ),
     "restriction-false": (
         lambda doc: _set(doc["concepts"][7], "restriction", False),
@@ -794,6 +808,23 @@ VALIDATION_ISSUES = {
     ),
 }
 
+# A binding slot is a role slot: each parameter slot in a binding, though its
+# phase declares the parameter, is one issue, in slot order.
+# defect -> (slots of a binding added to PouringPlan, the `issue:` lines of `validate`)
+PARAMETER_BINDINGS = {
+    "parameter-slot-bound-to-a-role-slot": (
+        [["Pouring_0", "PouringSpeed"], ["Tilting_0", "Patient"]],
+        ["unknown-binding-slot: binding Binding_2 references ('Pouring_0', 'PouringSpeed')"],
+    ),
+    "two-parameter-slots-bound": (
+        [["Pouring_0", "PouringSpeed"], ["Approaching_0", "PouringSpeed"]],
+        [
+            "unknown-binding-slot: binding Binding_2 references ('Approaching_0', 'PouringSpeed')",
+            "unknown-binding-slot: binding Binding_2 references ('Pouring_0', 'PouringSpeed')",
+        ],
+    ),
+}
+
 
 def _json_nodes(node, path=()):
     """The path of keys and indexes to every node below `node`."""
@@ -821,8 +852,8 @@ class TestDocumentFuzz:
     @given(st.sampled_from(SEED_NODES), NODE_EDITS)
     @example(("library", ("concepts", 0, "name")), ("set", [1]))
     @example(("library", ("descriptions", 0, "type")), ("set", [1]))
-    @example(("library", ("affordances", 0, "background")), ("set", [1]))
-    @example(("library", ("affordances", 0, "background")), ("set", 1))
+    @example(("library", ("affordances",)), ("wrap", None))
+    @example(("library", ("affordances",)), ("set", [{}]))
     @example(("library", ("designs",)), ("wrap", None))
     @example(("library", ("descriptions", 0, "succedences")), ("set", [CONDITIONAL_SUCCEDENCE]))
     @example(("episode", ("scene", "objects", 1, "type_tag")), ("set", [1]))
@@ -1029,6 +1060,18 @@ class TestCli:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "validate", str(path))
         assert (code, out, err) == (1, f"issue: description {issue}\ninvalid: 1 issue(s)\n", "")
+
+    @pytest.mark.parametrize("defect", list(PARAMETER_BINDINGS))
+    def test_parameter_binding_slot_exit_1(self, capsys, tmp_path, defect):
+        doc = json.loads(SEED_LIBRARY.read_text())
+        slots, issues = PARAMETER_BINDINGS[defect]
+        _phase(doc)["parameters"] = ["PouringSpeed"]
+        doc["descriptions"][0]["bindings"].append({"id": "Binding_2", "slots": slots})
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        lines = "".join(f"issue: description PouringPlan: {issue}\n" for issue in issues)
+        assert (code, out, err) == (1, f"{lines}invalid: {len(issues)} issue(s)\n", "")
 
     def test_validation_issues_in_order(self, capsys, tmp_path):
         # One constraint naming two non-slots, and one succedence relating a

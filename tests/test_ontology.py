@@ -2,7 +2,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
-    AffordanceSpec,
     ConceptKind,
     Disposition,
     Entity,
@@ -256,20 +255,6 @@ def test_restriction_deterministic(entity, restriction):
     store = OntologyStore()
     first = store.satisfies_restriction(entity, restriction)
     assert store.satisfies_restriction(entity, restriction) == first
-
-
-class TestAffordances:
-    def test_bearer_trigger_must_differ(self):
-        with pytest.raises(KindMismatch):
-            AffordanceSpec("A", "Container", "Container")
-
-    def test_slots_must_be_roles(self):
-        store = OntologyStore()
-        aff = store.add_concept("ContainmentAffordance", ConceptKind.AFFORDANCE_DESCR)
-        container = store.add_concept("Container", ConceptKind.ROLE)
-        task = store.add_concept("Pouring", ConceptKind.TASK)
-        with pytest.raises(KindMismatch):
-            store.add_affordance(AffordanceSpec(aff, container, task))
 
 
 PARAMETER_UNITS = ("m/s", "cm/s")

@@ -251,18 +251,6 @@ class TestParseSeed:
         with_bare = parse(pouring_episode, list(library) + [bare], store)
         assert with_bare == parse(pouring_episode, library, store)
 
-    def test_bound_parameter_slot_grounds_to_the_bound_entity(self, pouring_episode):
-        # A parameter slot bound to a role slot takes that slot's entity:
-        # a concept that is not a Role admits every entity.
-        doc = json.loads(SEED_LIBRARY.read_text())
-        doc["descriptions"][0]["bindings"].append(
-            {"id": "Binding_2", "slots": [["Pouring_0", "PouringSpeed"], ["Tilting_0", "Patient"]]}
-        )
-        store, library = load_library_document(doc)
-        (interp,) = parse(pouring_episode, library, store)
-        assert dict(interp.role_grounding)[("Pouring_0", "PouringSpeed")] == "pot"
-        assert verify_interpretation(interp, pouring_episode, library, store)
-
 
 NAMES = ("A", "B", "C")
 TAXONOMY_KINDS = (
