@@ -57,12 +57,11 @@ SUCCEDENCE = RelationSet.of(BaseRelation.BEFORE, BaseRelation.MEETS)
 @dataclass(frozen=True)
 class EventTypeRef:
     """A typed slot of a description: one task, process type, or state type,
-    together with the roles and parameters it uses."""
+    together with the roles it uses."""
 
     id: str
     concept: str
     uses_roles: Tuple[str, ...] = ()
-    uses_parameters: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,6 @@ def _check_event_type_ref(
             issues.append(ValidationIssue("unknown-role", f"{ref.id} uses {rid}"))
         elif store.concept(rid).kind is not ConceptKind.ROLE:
             issues.append(ValidationIssue("kind-mismatch", f"{rid} is not a Role"))
-    for pid in ref.uses_parameters:
-        if not store.has_concept(pid):
-            issues.append(ValidationIssue("unknown-parameter", f"{ref.id} uses {pid}"))
-        elif store.concept(pid).kind is not ConceptKind.PARAMETER:
-            issues.append(ValidationIssue("kind-mismatch", f"{pid} is not a Parameter"))
 
 
 def _slot_refs(d: Description) -> List[EventTypeRef]:

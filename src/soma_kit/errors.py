@@ -53,10 +53,6 @@ class UnknownRole(SomaKitError):
     pass
 
 
-class UnitMismatch(SomaKitError):
-    pass
-
-
 class ParseError(SomaKitError):
     """Document could not be parsed; message carries the position."""
 

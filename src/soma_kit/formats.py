@@ -4,10 +4,12 @@ serializer used for round-trip checks.
 
 A library holds `concepts` and `descriptions`; each description record has
 the same fields, and its `type`, `plan` or `process_flow`, is the `kind` of
-the `Description` it loads as. An `affordances` or `designs` list is
-accepted only when empty, and a succedence `condition` only when null, as
-libraries written by earlier versions carry them; an affordance, a design
-and a configuration are concepts of their kind, never records.
+the `Description` it loads as. An `affordances` or `designs` list and a
+slot's `parameters` are accepted only when empty, and a succedence
+`condition` only when null, as libraries written by earlier versions carry
+them; an affordance, a design and a configuration are concepts of their
+kind, never records. Likewise an episode's disposition may carry an
+`affordance` only when it is null.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .activity import (
     Goal,
     PhaseConstraint,
     RELATION_VOCABULARY,
-    validate_and_compile,
 )
 from .allen import RelationSet
 from .errors import (
@@ -54,7 +55,15 @@ from .ontology import (
     Restriction,
     TypeTagIn,
 )
-from .parsing import DEFAULT_EPS, CompiledLibrary, Episode, RawEvent, TokenClass, tokenize
+from .parsing import (
+    DEFAULT_EPS,
+    CompiledLibrary,
+    Episode,
+    RawEvent,
+    TokenClass,
+    compile_library,
+    tokenize,
+)
 
 FORMAT_VERSION = "soma-kit/1"
 
@@ -137,6 +146,13 @@ def _optional(node: dict, key: str, where: str, kind: type = str, default=None):
     """`node[key]`, or `default` when it is absent or null; a value that is
     not a `kind` is a ParseError naming `where`."""
     return default if node.get(key) is None else _required(node, key, where, kind)
+
+
+def _unsupported(node: dict, key: str, at: str, loads: tuple = (None,)) -> None:
+    """A ParseError naming `at` when `node[key]`, a field that earlier
+    versions wrote and no answer reads, is present and none of `loads`."""
+    if node.get(key) not in loads:
+        raise ParseError(f"{at}: {key.removesuffix('s')}s are not supported")
 
 
 def _optional_restriction(node: dict, key: str, where: str) -> Optional[Restriction]:
@@ -231,21 +247,14 @@ def _relation_to_json(rs: RelationSet):
 
 
 def _ref_from_json(at: str, node: dict) -> EventTypeRef:
+    _unsupported(node, "parameters", at, loads=(None, []))
     return EventTypeRef(
-        id=_required(node, "id", at),
-        concept=_required(node, "concept", at),
-        uses_roles=_strings(node, "roles", at),
-        uses_parameters=_strings(node, "parameters", at),
+        _required(node, "id", at), _required(node, "concept", at), _strings(node, "roles", at)
     )
 
 
 def _ref_to_json(ref: EventTypeRef) -> dict:
-    return {
-        "id": ref.id,
-        "concept": ref.concept,
-        "roles": list(ref.uses_roles),
-        "parameters": list(ref.uses_parameters),
-    }
+    return {"id": ref.id, "concept": ref.concept, "roles": list(ref.uses_roles)}
 
 
 #: Description kinds by their JSON "type" tag.
@@ -294,8 +303,7 @@ def _description_from_json(at: str, node: dict) -> Description:
 
 
 def _succedence_from_json(at: str, node: dict) -> ConditionalSuccedence:
-    if node.get("condition") is not None:
-        raise ParseError(f"{at}: conditions are not supported")
+    _unsupported(node, "condition", at)
     return ConditionalSuccedence(*(_required(node, key, at) for key in ("id", "earlier", "later")))
 
 
@@ -367,11 +375,12 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     description without `id` or with a `type` other than `plan` or
     `process_flow`, a plan without `defines`, a top-level list that is not a
     list of objects) is a ParseError naming it, and so is any record under
-    `affordances` or `designs` and any non-null succedence `condition`, which
-    no answer reads (an empty list and a null condition load); validation
-    issues, duplicate ids among them, are collected into one
-    ValidationFailed. Each description keeps the network validation
-    propagated."""
+    `affordances` or `designs`, any slot `parameters` but null or `[]` and
+    any non-null succedence `condition`, which no answer reads (an empty
+    list and a null condition load); concept issues and, through
+    `compile_library`, description issues, duplicate ids among them, are
+    collected into one ValidationFailed. Each description keeps the network
+    validation propagated."""
     store = OntologyStore()
     issues: List[str] = []
     _add_concepts(doc, store, issues)
@@ -383,21 +392,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
             raise ParseError(f"{at}: {at.rsplit(' ', 1)[0]} records are not supported")
 
     descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
-
-    store.freeze()
-    seen_ids = set()
-    networks = []
-    for d in descriptions:
-        if d.id in seen_ids:
-            issues.append(f"description {d.id}: duplicate-description: id is used more than once")
-        seen_ids.add(d.id)
-        d_issues, net = validate_and_compile(d, store)
-        issues += (f"description {d.id}: {issue}" for issue in d_issues)
-        networks.append(net)
-
-    if issues:
-        raise ValidationFailed(issues)
-    return store, CompiledLibrary(descriptions, networks)
+    return store.freeze(), compile_library(descriptions, store, issues)
 
 
 def _add_concepts(doc: dict, store: OntologyStore, issues: List[str]) -> None:
@@ -485,7 +480,8 @@ def load_episode_document(
     or event record of the wrong type or without a key it needs (`id`,
     `type`, `class`), or an event whose `type` is not a string or whose
     `participants` are not a list of strings, is a ParseError naming the
-    record; an object id used twice, an unknown participant or event class
+    record, and so is a disposition's non-null `affordance`, which no answer
+    reads; an object id used twice, an unknown participant or event class
     is a validation issue; a non-positive or non-finite eps is a
     DegenerateInterval (from `tokenize`)."""
     issues: List[str] = []
@@ -558,15 +554,10 @@ def _scene_from_json(node, issues: List[str]) -> Scene:
             )
             for i, (q_at, q) in enumerate(_records(record, "qualities", at))
         )
-        dispositions = tuple(
-            Disposition(
-                id=f"{eid}.d{i}",
-                bearer=eid,
-                disposition_type=_required(d, "type", d_at),
-                affordance=_optional(d, "affordance", d_at),
-            )
-            for i, (d_at, d) in enumerate(_records(record, "dispositions", at))
-        )
+        dispositions = []
+        for i, (d_at, d) in enumerate(_records(record, "dispositions", at)):
+            _unsupported(d, "affordance", d_at)
+            dispositions.append(Disposition(f"{eid}.d{i}", eid, _required(d, "type", d_at)))
         name = _optional(record, "name", at, default=eid)
         type_tag = _optional(record, "type_tag", at, default=name)
         if eid in objects:
@@ -578,7 +569,7 @@ def _scene_from_json(node, issues: List[str]) -> Scene:
             kind=EntityKind.OBJECT,
             type_tag=type_tag,
             qualities=qualities,
-            dispositions=dispositions,
+            dispositions=tuple(dispositions),
         )
     return Scene(objects)
 
@@ -593,10 +584,7 @@ def serialize_episode(episode: Episode, raw_events: Sequence[RawEvent]) -> dict:
                     "id": e.id,
                     "name": e.name,
                     "type_tag": e.type_tag,
-                    "dispositions": [
-                        {"type": d.disposition_type, "affordance": d.affordance}
-                        for d in e.dispositions
-                    ],
+                    "dispositions": [{"type": d.disposition_type} for d in e.dispositions],
                     "qualities": [
                         {"type": q.type_tag, "value": q.value, "units": q.units}
                         for q in e.qualities

@@ -1,6 +1,5 @@
 """Grounding queries: which scene objects can play a task's roles, and what
-a force-dynamic configuration entails. Whether a parameter value satisfies
-its region is `OntologyStore.check_parameter`.
+a force-dynamic configuration entails.
 """
 
 from __future__ import annotations

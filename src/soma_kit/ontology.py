@@ -18,7 +18,6 @@ from .errors import (
     CycleError,
     KindMismatch,
     StoreFrozen,
-    UnitMismatch,
     UnknownId,
 )
 
@@ -129,10 +128,12 @@ class Quality:
 
 @dataclass(frozen=True)
 class Disposition:
+    """A disposition of its bearer object, by type: `HasDisposition` reads
+    the type. What it affords is a concept of kind affordance, not a field."""
+
     id: str
     bearer: str
     disposition_type: str
-    affordance: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -333,25 +334,6 @@ class OntologyStore:
         if concept.restriction is None or self.satisfies_restriction(e, concept.restriction):
             return ACCEPTED
         return ClassificationResult(False, _rejection_reason(concept.restriction))
-
-    def check_parameter(self, parameter_id: str, value: float, units: str) -> bool:
-        """Whether the parameter classifies a region of this value and units;
-        UnitMismatch when it bounds regions and none of them is in `units`."""
-        concept = self.concept(parameter_id)
-        if concept.kind is not ConceptKind.PARAMETER:
-            raise KindMismatch(f"{parameter_id} is not a Parameter concept")
-        bounded = _region_units(concept.restriction)
-        if bounded and units not in bounded:
-            raise UnitMismatch(f"expected {' or '.join(sorted(bounded))}, got {units}")
-        region = Entity("region", "region", EntityKind.REGION, "Region", value=value, units=units)
-        return bool(self.check_classification(parameter_id, region))
-
-
-def _region_units(r: Optional[Restriction]) -> FrozenSet[str]:
-    """The units of every region a restriction bounds."""
-    if isinstance(r, (And, Or)):
-        return frozenset().union(*map(_region_units, r.items))
-    return frozenset({r.units}) if isinstance(r, RegionWithin) else frozenset()
 
 
 def _rejection_reason(r: Restriction) -> str:

@@ -16,9 +16,9 @@ from functools import cache, partial
 from itertools import product
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .activity import Description, binding_classes, compile_constraints
+from .activity import Description, binding_classes, validate_and_compile
 from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
-from .errors import DanglingReference, DegenerateInterval, NegativeDuration
+from .errors import DanglingReference, DegenerateInterval, NegativeDuration, ValidationFailed
 from .grounding import Scene, admits
 from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
 
@@ -216,11 +216,30 @@ class CompiledLibrary(tuple):
         return self
 
 
-def _compile(library: Sequence[Description]) -> CompiledLibrary:
-    if isinstance(library, CompiledLibrary):
-        return library
-    library = tuple(library)
-    return CompiledLibrary(library, map(compile_constraints, library))
+def compile_library(
+    descriptions: Iterable[Description], store: OntologyStore, issues: Iterable[str] = ()
+) -> CompiledLibrary:
+    """The descriptions, validated against `store` and compiled once. Any
+    issue raises one ValidationFailed listing `issues`, then each duplicate
+    id and validation issue of a description, prefixed `description <id>:`."""
+    descriptions = tuple(descriptions)
+    issues = list(issues)
+    seen_ids: Set[str] = set()
+    networks = []
+    for d in descriptions:
+        if d.id in seen_ids:
+            issues.append(f"description {d.id}: duplicate-description: id is used more than once")
+        seen_ids.add(d.id)
+        d_issues, net = validate_and_compile(d, store)
+        issues += (f"description {d.id}: {issue}" for issue in d_issues)
+        networks.append(net)
+    if issues:
+        raise ValidationFailed(issues)
+    return CompiledLibrary(descriptions, networks)
+
+
+def _compile(library: Sequence[Description], store: OntologyStore) -> CompiledLibrary:
+    return library if isinstance(library, CompiledLibrary) else compile_library(library, store)
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
@@ -289,7 +308,7 @@ def parse(
         cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
         return [pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag)]
 
-    for plan in _compile(library).compiled:
+    for plan in _compile(library, store).compiled:
         d = plan.description
         if d.phases:
             candidates = [fitting(p.concept) for p in d.phases]
@@ -373,7 +392,7 @@ def verify_interpretation(
     it grounds for each phase (none when the types do not match), the search
     yields the interpretation's phase and role groundings, order aside and
     each entry once; coverage and earliest start are not checked."""
-    library = _compile(library)
+    library = _compile(library, store)
     by_id = dict(zip((d.id for d in library), library.compiled))
     if interp.plan not in by_id:
         raise DanglingReference(f"unknown plan: {interp.plan}")

@@ -15,8 +15,10 @@ from soma_kit import (
     dumps_canonical,
     load_episode,
     load_library,
+    parse,
     serialize_episode,
     serialize_library,
+    verify_interpretation,
 )
 from soma_kit.cli import main
 from soma_kit.errors import (
@@ -28,6 +30,7 @@ from soma_kit.errors import (
 )
 from soma_kit.formats import (
     _add_concepts,
+    _description_from_json,
     _event_times,
     load_episode_document,
     load_library_document,
@@ -115,6 +118,24 @@ class TestLibraryLoading:
         store, library = load_library_document(doc)
         assert store.concept("ContainmentAffordance").kind is ConceptKind.AFFORDANCE_DESCR
         assert [d.id for d in library] == ["PouringPlan"]
+
+    @pytest.mark.parametrize("parameters", [None, []])
+    def test_empty_slot_parameters_load(self, parameters):
+        # Canonical files of earlier versions carry "parameters": [] on every slot.
+        doc = json.loads(SEED_LIBRARY.read_text())
+        plan = doc["descriptions"][0]
+        for slot in [plan["defines"], *plan["phases"]]:
+            slot["parameters"] = parameters
+        assert load_library_document(doc)[1] == load_library(SEED_LIBRARY)[1]
+
+    def test_null_affordance_loads(self):
+        doc = json.loads(POURING_EPISODE.read_text())
+        for obj in doc["scene"]["objects"]:
+            for disposition in obj["dispositions"]:
+                disposition["affordance"] = None
+        assert load_episode_document(doc, episode_id="pouring_episode") == load_episode(
+            POURING_EPISODE
+        )
 
     @pytest.mark.parametrize("condition", ["absent", "null"])
     def test_unconditional_succedence_loads(self, condition):
@@ -538,6 +559,14 @@ MALFORMED_RECORDS = {
         lambda doc: _set(doc["descriptions"][0], "goal", {"id": "g", "desired": [1]}),
         "description PouringPlan: goal: desired 0: expected an object, got 1",
     ),
+    "phase-parameters": (
+        lambda doc: _set(_phase(doc), "parameters", ["PouringSpeed"]),
+        "description PouringPlan: phase 0: parameters are not supported",
+    ),
+    "defines-parameters": (
+        lambda doc: _set(doc["descriptions"][0]["defines"], "parameters", ["PouringSpeed"]),
+        "description PouringPlan: defines: parameters are not supported",
+    ),
     "design-record": (
         lambda doc: _set(doc, "designs", [DESIGN_RECORD]),
         "design 0: design records are not supported",
@@ -693,9 +722,9 @@ MALFORMED_EPISODES = {
         lambda doc: _set(_objects(doc)[1], "qualities", [{"type": "Volume", "units": 5}]),
         "scene: object 1: quality 0: units: expected a str, got 5",
     ),
-    "disposition-affordance-not-a-string": (
-        lambda doc: _set(_objects(doc)[2]["dispositions"][0], "affordance", [1]),
-        "scene: object 2: disposition 0: affordance: expected a str, got [1]",
+    "disposition-affordance": (
+        lambda doc: _set(_objects(doc)[2]["dispositions"][0], "affordance", "CuttingAffordance"),
+        "scene: object 2: disposition 0: affordances are not supported",
     ),
     "start-a-numeric-string": (
         lambda doc: _set(doc["events"][0], "start", "0.0"),
@@ -746,13 +775,17 @@ VALIDATION_ISSUES = {
         lambda doc: _set(_phase(doc), "roles", ["Motion"]),
         "PouringPlan: kind-mismatch: Motion is not a Role",
     ),
-    "unknown-parameter": (
-        lambda doc: _set(_phase(doc), "parameters", ["Ghost"]),
-        "PouringPlan: unknown-parameter: Approaching_0 uses Ghost",
+    "role-a-parameter": (
+        lambda doc: _set(_phase(doc), "roles", ["PouringSpeed"]),
+        "PouringPlan: kind-mismatch: PouringSpeed is not a Role",
     ),
-    "parameter-not-a-parameter": (
-        lambda doc: _set(_phase(doc), "parameters", ["Patient"]),
-        "PouringPlan: kind-mismatch: Patient is not a Parameter",
+    "role-a-task": (
+        lambda doc: _set(_phase(doc), "roles", ["Pouring"]),
+        "PouringPlan: kind-mismatch: Pouring is not a Role",
+    ),
+    "role-an-affordance": (
+        lambda doc: _set(_phase(doc), "roles", ["ContainmentAffordance"]),
+        "PouringPlan: kind-mismatch: ContainmentAffordance is not a Role",
     ),
     "empty-relation": (
         lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", []),
@@ -808,8 +841,8 @@ VALIDATION_ISSUES = {
     ),
 }
 
-# A binding slot is a role slot: each parameter slot in a binding, though its
-# phase declares the parameter, is one issue, in slot order.
+# A binding slot is a role slot: each slot in a binding that names a Parameter
+# is one issue, in slot order.
 # defect -> (slots of a binding added to PouringPlan, the `issue:` lines of `validate`)
 PARAMETER_BINDINGS = {
     "parameter-slot-bound-to-a-role-slot": (
@@ -858,7 +891,10 @@ class TestDocumentFuzz:
     @example(("library", ("descriptions", 0, "succedences")), ("set", [CONDITIONAL_SUCCEDENCE]))
     @example(("episode", ("scene", "objects", 1, "type_tag")), ("set", [1]))
     @example(("episode", ("scene", "objects", 1, "name")), ("wrap", None))
-    @example(("episode", ("scene", "objects", 2, "dispositions", 0, "affordance")), ("wrap", None))
+    @example(
+        ("episode", ("scene", "objects", 2, "dispositions", 0)),
+        ("set", {"type": "Cutting", "affordance": "CuttingAffordance"}),
+    )
     def test_one_edited_node_ends_in_an_exit_code(self, tmp_path_factory, node, edit):
         """validate, parse and select on the seed documents with one node
         edited each return 0, 1 or 2, and no exception escapes `main`."""
@@ -1061,11 +1097,28 @@ class TestCli:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert (code, out, err) == (1, f"issue: description {issue}\ninvalid: 1 issue(s)\n", "")
 
+    @pytest.mark.parametrize("defect", list(VALIDATION_ISSUES))
+    def test_validation_issue_on_plain_list(self, seed, pouring_episode, defect):
+        # Descriptions built without a load meet the rules of `validate` on
+        # every door into the search.
+        store, library = seed
+        (interp,) = parse(pouring_episode, library, store)
+        doc = json.loads(SEED_LIBRARY.read_text())
+        edit, issue = VALIDATION_ISSUES[defect]
+        edit(doc)
+        plain = [_description_from_json("", d) for d in doc["descriptions"]]
+        for call in (
+            lambda: parse(pouring_episode, plain, store),
+            lambda: verify_interpretation(interp, pouring_episode, plain, store),
+        ):
+            with pytest.raises(ValidationFailed) as exc:
+                call()
+            assert exc.value.issues == [f"description {issue}"]
+
     @pytest.mark.parametrize("defect", list(PARAMETER_BINDINGS))
     def test_parameter_binding_slot_exit_1(self, capsys, tmp_path, defect):
         doc = json.loads(SEED_LIBRARY.read_text())
         slots, issues = PARAMETER_BINDINGS[defect]
-        _phase(doc)["parameters"] = ["PouringSpeed"]
         doc["descriptions"][0]["bindings"].append({"id": "Binding_2", "slots": slots})
         path = tmp_path / "lib.json"
         path.write_text(json.dumps(doc))

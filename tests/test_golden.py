@@ -5,7 +5,9 @@ format, ranking or propagation order shows up here as a diff. To regenerate
 after an intended output change, write `run_cli(...)[1]` of each case to
 `tests/golden/<name>.out`; the four `force_*` files pin the outcome of each
 tendency/stronger pair. `tokens_state_episode.out` pins state splitting
-the same way: one `id start end type_tag` line per token of a seeded episode.
+the same way: one `id start end type_tag` line per token of a seeded episode,
+and `parse_state_split.out` pins a `parse` that grounds a phase on the
+second segment of a state split by another state over the same objects.
 `all_descriptions_library.json` holds one description of each type (a plan
 with a goal, a binding and a succedence, and process flows with and without
 a defined event); its canonical serialization is pinned in
@@ -29,6 +31,8 @@ ALL_DESCRIPTIONS_LIBRARY = GOLDEN / "all_descriptions_library.json"
 
 LIB, POUR, AMB = str(SEED_LIBRARY), str(POURING_EPISODE), str(AMBIGUOUS_EPISODE)
 ALL, MIX = str(ALL_DESCRIPTIONS_LIBRARY), str(GOLDEN / "mixing_episode.json")
+SPLIT_LIB = str(GOLDEN / "state_split_library.json")
+SPLIT_EP = str(GOLDEN / "state_split_episode.json")
 
 # name -> (argv, exit code)
 CASES = {
@@ -45,6 +49,7 @@ CASES = {
     "select_tilting": (("select", LIB, AMB, "Tilting_0"), 0),
     "validate_all_descriptions": (("validate", ALL), 0),
     "parse_mixing": (("parse", ALL, MIX), 0),
+    "parse_state_split": (("parse", SPLIT_LIB, SPLIT_EP), 0),
     "query_mixing_phases": (("query", ALL, "MixingFlow", "Rotating_0", "Tilting"), 0),
     "query_mixing_defined": (("query", ALL, "MixingFlow", "Mixing", "Rotating_0"), 0),
     "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from soma_kit import (
     ConceptKind,
@@ -19,7 +19,6 @@ from soma_kit.errors import (
     CycleError,
     KindMismatch,
     StoreFrozen,
-    UnitMismatch,
     UnknownId,
 )
 
@@ -30,7 +29,7 @@ TAXONOMY_KINDS = (ConceptKind.TASK, ConceptKind.PROCESS_TYPE, ConceptKind.ROLE)
 
 def make_pot(with_containment=True):
     dispositions = (
-        (Disposition("pot.d0", "pot", "Containment", "ContainmentAffordance"),)
+        (Disposition("pot.d0", "pot", "Containment"),)
         if with_containment
         else ()
     )
@@ -257,67 +256,26 @@ def test_restriction_deterministic(entity, restriction):
     assert store.satisfies_restriction(entity, restriction) == first
 
 
-PARAMETER_UNITS = ("m/s", "cm/s")
-
-
-def region_trees():
-    """`region_within`/`and`/`or` trees over small regions in two units."""
-    regions = st.builds(
-        lambda lo, width, units: RegionWithin(lo, lo + width, units),
-        st.integers(0, 8),
-        st.integers(0, 4),
-        st.sampled_from(PARAMETER_UNITS),
-    )
-    children = lambda tree: st.lists(tree, min_size=1, max_size=3).map(tuple)
-    return st.recursive(
-        regions,
-        lambda tree: st.builds(And, children(tree)) | st.builds(Or, children(tree)),
-        max_leaves=6,
-    )
-
-
-def _bounded_units(r):
-    if isinstance(r, RegionWithin):
-        return {r.units}
-    return set().union(*(_bounded_units(item) for item in r.items))
+def region(value, units):
+    return Entity("region", "region", EntityKind.REGION, "Region", value=value, units=units)
 
 
 class TestParameters:
+    """A Parameter classifies the region entities its restriction admits."""
+
     def test_within_region(self):
         store = OntologyStore()
         p = store.add_concept(
             "Speed", ConceptKind.PARAMETER, restriction=RegionWithin(0, 0.5, "m/s")
         )
-        assert store.check_parameter(p, 0.3, "m/s")
-        assert not store.check_parameter(p, 0.7, "m/s")
-
-    def test_unit_mismatch(self):
-        store = OntologyStore()
-        p = store.add_concept(
-            "Speed", ConceptKind.PARAMETER, restriction=RegionWithin(0, 0.5, "m/s")
-        )
-        with pytest.raises(UnitMismatch):
-            store.check_parameter(p, 0.3, "rad/s")
+        assert store.check_classification(p, region(0.3, "m/s"))
+        assert not store.check_classification(p, region(0.7, "m/s"))
+        assert not store.check_classification(p, region(0.3, "rad/s"))
 
     def test_unrestricted_accepts_all(self):
         store = OntologyStore()
         p = store.add_concept("Effort", ConceptKind.PARAMETER)
-        assert store.check_parameter(p, 123.0, "N")
-
-    @given(region_trees(), st.integers(-2, 12), st.sampled_from(PARAMETER_UNITS))
-    @example(Or((RegionWithin(0, 1, "m/s"), RegionWithin(0, 100, "cm/s"))), 50, "cm/s")
-    def test_answers_as_classification_of_a_region(self, restriction, value, units):
-        # check_parameter is check_classification of a region entity of that
-        # value and units, except that units no bounded region uses mismatch.
-        store = OntologyStore()
-        p = store.add_concept("Speed", ConceptKind.PARAMETER, restriction=restriction)
-        region = Entity("region", "region", EntityKind.REGION, "Region", value=value, units=units)
-        if units in _bounded_units(restriction):
-            expected = bool(store.check_classification(p, region))
-            assert store.check_parameter(p, value, units) is expected
-        else:
-            with pytest.raises(UnitMismatch):
-                store.check_parameter(p, value, units)
+        assert store.check_classification(p, region(123.0, "N"))
 
     @given(
         st.floats(0, 1, allow_nan=False),
@@ -333,5 +291,5 @@ class TestParameters:
             "P2", ConceptKind.PARAMETER,
             restriction=RegionWithin(0.2 - widen_lo, 0.8 + widen_hi, "u"),
         )
-        if store.check_parameter(narrow, value, "u"):
-            assert store.check_parameter(wide, value, "u")
+        if store.check_classification(narrow, region(value, "u")):
+            assert store.check_classification(wide, region(value, "u"))
