@@ -11,11 +11,14 @@ for the relation at position p.
 
 Masks are composed and conversed through chunk tables derived from those two
 at import. A 13-bit mask splits into a 7-bit low chunk (positions 0-6) and a
-6-bit high chunk (positions 7-12). For each base position a there is one
-table over every low chunk and one over every high chunk of the right
-operand, holding the union of the compositions of a with the chunk's
-relations; so composing two masks costs two lookups and an OR per relation
-of the left one. The converse of a mask is the OR of two chunk lookups.
+6-bit high chunk (positions 7-12). The converse of a mask is the OR of two
+chunk lookups. For composition, four pair tables hold the composition of
+every left chunk with every right chunk: `_LL[c1][c2]` for a low chunk c1
+with a low chunk c2, and `_LH`, `_HL`, `_HH` for the other low/high pairs,
+so composing two masks costs four lookups and three ORs, whatever their
+sizes. The 36,864 entries take only 847 distinct values, and the tables
+share one int object per value, which keeps them at about 0.35 MB rather
+than 1.4 MB (CPython 3.11).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInterval, StaleNetwork, UnknownVariable
@@ -243,17 +247,31 @@ def _converse_mask(mask: int) -> int:
     return _CONVERSE_LOW[mask & 0x7F] | _CONVERSE_HIGH[mask >> 7]
 
 
+def _pair_table(rows: Sequence[Sequence[int]], shared: Dict[int, int]) -> List[List[int]]:
+    """Row c is the element-wise OR of rows[p] over the set bits p of c, for
+    every c below 2 ** len(rows), as `_chunk_table` builds its entries.
+    Equal entries are one int object, the first met in `shared`."""
+    table = [[0] * len(rows[0])]
+    for c in range(1, 1 << len(rows)):
+        low = c & -c
+        merged = map(or_, table[c ^ low], rows[low.bit_length() - 1])
+        table.append([shared.setdefault(v, v) for v in merged])
+    return table
+
+
+_SHARED: Dict[int, int] = {}
+_LL = _pair_table(_COMPOSE_LOW[:7], _SHARED)
+_LH = _pair_table(_COMPOSE_HIGH[:7], _SHARED)
+_HL = _pair_table(_COMPOSE_LOW[7:], _SHARED)
+_HH = _pair_table(_COMPOSE_HIGH[7:], _SHARED)
+del _SHARED
+
+
 def _compose_mask(m1: int, m2: int) -> int:
-    if (m1 == _FULL_MASK and m2) or (m2 == _FULL_MASK and m1):
-        return _FULL_MASK
-    low, high = m2 & 0x7F, m2 >> 7
-    out = 0
-    while m1:
-        bit = m1 & -m1
-        a = bit.bit_length() - 1
-        out |= _COMPOSE_LOW[a][low] | _COMPOSE_HIGH[a][high]
-        m1 ^= bit
-    return out
+    """Composition of two masks: the union of the compositions of each
+    chunk of m1 with each chunk of m2, one pair-table lookup each."""
+    l1, h1, l2, h2 = m1 & 0x7F, m1 >> 7, m2 & 0x7F, m2 >> 7
+    return _LL[l1][l2] | _LH[l1][h2] | _HL[h1][l2] | _HH[h1][h2]
 
 
 def converse(r: BaseRelation) -> BaseRelation:
@@ -329,10 +347,19 @@ class ConstraintNetwork:
         """Run path consistency to fixpoint with a work queue.
 
         The queue starts with every pair i < j in insertion order and holds
-        such pairs only; for each, every third variable k in order tightens
-        (i, k) and then (k, j). Inconsistency (an empty label) is a return
-        value, not an exception; its witness is the first pair in queue order
-        whose label was constrained empty, else the pair that emptied.
+        such pairs only; for each, every variable k in order tightens (i, k)
+        and then (k, j). Inconsistency (an empty label) is a return value,
+        not an exception; its witness is the first pair in queue order whose
+        label was constrained empty, else the pair that emptied.
+
+        The compositions are `_compose_mask` inlined: the pair-table rows of
+        rij, and of its converse rji, are fetched once per popped pair, and
+        (k, j) is tightened through its converse, (j, k) by rji composed with
+        rik, which is the converse of rki composed with rij. Both read the
+        labels as they were before either update at this k. Two tests are
+        left out as no-ops: k in (i, j), since eq composes as the identity
+        and every rij composed with rji holds eq; and a full rij, since it
+        composes to the full label with every nonempty one.
         """
         labels = self._labels
         n = len(labels)
@@ -340,28 +367,42 @@ class ConstraintNetwork:
         if not all(map(all, labels)):  # some label was constrained empty
             return self._inconsistent(*next((i, j) for i, j in queue if not labels[i][j]))
         in_queue = set(queue)
+        conv_low, conv_high = _CONVERSE_LOW, _CONVERSE_HIGH
         while queue:
             i, j = pair = queue.popleft()
             in_queue.discard(pair)
-            rij = labels[i][j]
+            row_i, row_j = labels[i], labels[j]
+            rij = row_i[j]
+            if rij == _FULL_MASK:
+                continue
+            lo, hi = rij & 0x7F, rij >> 7
+            ll, lh, hl, hh = _LL[lo], _LH[lo], _HL[hi], _HH[hi]
+            rji = row_j[i]
+            lo, hi = rji & 0x7F, rji >> 7
+            jll, jlh, jhl, jhh = _LL[lo], _LH[lo], _HL[hi], _HH[hi]
             for k in range(n):
-                if k == i or k == j:
+                rik, rjk = row_i[k], row_j[k]
+                lo, hi = rjk & 0x7F, rjk >> 7
+                ik = rik & (ll[lo] | lh[hi] | hl[lo] | hh[hi])
+                lo, hi = rik & 0x7F, rik >> 7
+                jk = rjk & (jll[lo] | jlh[hi] | jhl[lo] | jhh[hi])
+                if ik == rik and jk == rjk:
                     continue
-                # Both compositions read the labels as they were before
-                # either update at this k.
-                for x, y, composed in (
-                    (i, k, _compose_mask(rij, labels[j][k])),
-                    (k, j, _compose_mask(labels[k][i], rij)),
-                ):
-                    old = labels[x][y]
-                    new = old & composed
-                    if new == old:
-                        continue
-                    if not new:
-                        return self._inconsistent(x, y)
-                    labels[x][y] = new
-                    labels[y][x] = _converse_mask(new)
-                    key = (x, y) if x < y else (y, x)
+                if ik != rik:
+                    if not ik:
+                        return self._inconsistent(i, k)
+                    row_i[k] = ik
+                    labels[k][i] = conv_low[ik & 0x7F] | conv_high[ik >> 7]
+                    key = (i, k) if i < k else (k, i)
+                    if key not in in_queue:
+                        queue.append(key)
+                        in_queue.add(key)
+                if jk != rjk:
+                    if not jk:
+                        return self._inconsistent(k, j)
+                    row_j[k] = jk
+                    labels[k][j] = conv_low[jk & 0x7F] | conv_high[jk >> 7]
+                    key = (j, k) if j < k else (k, j)
                     if key not in in_queue:
                         queue.append(key)
                         in_queue.add(key)

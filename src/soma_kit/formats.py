@@ -61,7 +61,6 @@ from .parsing import (
     Episode,
     RawEvent,
     TokenClass,
-    compile_library,
     tokenize,
 )
 
@@ -378,7 +377,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
     `affordances` or `designs`, any slot `parameters` but null or `[]` and
     any non-null succedence `condition`, which no answer reads (an empty
     list and a null condition load); concept issues and, through
-    `compile_library`, description issues, duplicate ids among them, are
+    `CompiledLibrary`, description issues, duplicate ids among them, are
     collected into one ValidationFailed. Each description keeps the network
     validation propagated."""
     store = OntologyStore()
@@ -392,7 +391,7 @@ def load_library_document(doc: dict) -> Tuple[OntologyStore, CompiledLibrary]:
             raise ParseError(f"{at}: {at.rsplit(' ', 1)[0]} records are not supported")
 
     descriptions = [_description_from_json(at, node) for at, node in _records(doc, "descriptions")]
-    return store.freeze(), compile_library(descriptions, store, issues)
+    return store.freeze(), CompiledLibrary(descriptions, store, issues)
 
 
 def _add_concepts(doc: dict, store: OntologyStore, issues: List[str]) -> None:

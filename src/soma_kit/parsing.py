@@ -202,13 +202,33 @@ class CompiledPlan:
 
 
 class CompiledLibrary(tuple):
-    """The descriptions of a library, in order, each compiled once from its
-    propagated network in `networks`: `compiled[i]` is `self[i]` compiled."""
+    """The descriptions of a library, in order, validated against a store and
+    compiled once: `compiled[i]` is `self[i]` compiled from the network its
+    validation propagated. Building one is the only way to compile, so any
+    issue raises one ValidationFailed listing `issues`, then each duplicate
+    id and validation issue of a description, prefixed `description <id>:`."""
 
     compiled: Tuple[CompiledPlan, ...]
 
-    def __new__(cls, descriptions: Iterable[Description], networks: Iterable[ConstraintNetwork]):
+    def __new__(
+        cls,
+        descriptions: Iterable[Description],
+        store: OntologyStore,
+        issues: Iterable[str] = (),
+    ):
         self = super().__new__(cls, descriptions)
+        issues = list(issues)
+        seen_ids: Set[str] = set()
+        networks = []
+        for d in self:
+            if d.id in seen_ids:
+                issues.append(f"description {d.id}: duplicate-description: id is used more than once")
+            seen_ids.add(d.id)
+            d_issues, net = validate_and_compile(d, store)
+            issues += (f"description {d.id}: {issue}" for issue in d_issues)
+            networks.append(net)
+        if issues:
+            raise ValidationFailed(issues)
         self.compiled = tuple(
             CompiledPlan(d, net, net.masks([p.id for p in d.phases]), _role_classes(d))
             for d, net in zip(self, networks)
@@ -216,30 +236,8 @@ class CompiledLibrary(tuple):
         return self
 
 
-def compile_library(
-    descriptions: Iterable[Description], store: OntologyStore, issues: Iterable[str] = ()
-) -> CompiledLibrary:
-    """The descriptions, validated against `store` and compiled once. Any
-    issue raises one ValidationFailed listing `issues`, then each duplicate
-    id and validation issue of a description, prefixed `description <id>:`."""
-    descriptions = tuple(descriptions)
-    issues = list(issues)
-    seen_ids: Set[str] = set()
-    networks = []
-    for d in descriptions:
-        if d.id in seen_ids:
-            issues.append(f"description {d.id}: duplicate-description: id is used more than once")
-        seen_ids.add(d.id)
-        d_issues, net = validate_and_compile(d, store)
-        issues += (f"description {d.id}: {issue}" for issue in d_issues)
-        networks.append(net)
-    if issues:
-        raise ValidationFailed(issues)
-    return CompiledLibrary(descriptions, networks)
-
-
 def _compile(library: Sequence[Description], store: OntologyStore) -> CompiledLibrary:
-    return library if isinstance(library, CompiledLibrary) else compile_library(library, store)
+    return library if isinstance(library, CompiledLibrary) else CompiledLibrary(library, store)
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:

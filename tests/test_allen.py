@@ -1,7 +1,9 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     BaseRelation,
@@ -74,8 +76,9 @@ class TestCompose:
 
 
 class TestChunkTables:
-    """The chunk tables `allen` composes and converses through hold, for
-    every chunk, the union of the 13x13 definition over the chunk's bits."""
+    """The chunk and pair tables `allen` composes and converses through
+    hold, for every chunk or chunk pair, the union of the 13x13 definition
+    over the chunks' bits."""
 
     @pytest.mark.parametrize("r1", ALL, ids=lambda r: r.code)
     def test_compose_chunks_match_oracle(self, r1):
@@ -91,6 +94,45 @@ class TestChunkTables:
                     if chunk >> p & 1:
                         expected = expected | row[offset + p]
                 assert table[chunk] == expected.mask, (r1, offset, chunk)
+
+    @pytest.mark.parametrize(
+        "name, left, right",
+        [("_LL", (0, 7), (0, 7)), ("_LH", (0, 7), (7, 6)), ("_HL", (7, 6), (0, 7)), ("_HH", (7, 6), (7, 6))],
+    )
+    def test_pair_tables_match_oracle(self, name, left, right):
+        table = getattr(allen, name)
+        (left_offset, left_width), (right_offset, right_width) = left, right
+        base = [[compose_oracle(r1, r2).mask for r2 in ALL] for r1 in ALL]
+        # One-chunk unions first: the union over a chunk pair is then the
+        # OR, over the left chunk's bits, of a right-chunk union.
+        by_right_chunk = [
+            [
+                reduce(or_, (row[right_offset + q] for q in range(right_width) if c2 >> q & 1), 0)
+                for c2 in range(1 << right_width)
+            ]
+            for row in base
+        ]
+        assert len(table) == 1 << left_width
+        for c1, table_row in enumerate(table):
+            assert len(table_row) == 1 << right_width
+            bits = [left_offset + p for p in range(left_width) if c1 >> p & 1]
+            for c2, entry in enumerate(table_row):
+                expected = reduce(or_, (by_right_chunk[a][c2] for a in bits), 0)
+                assert entry == expected, (name, c1, c2)
+
+    def test_pair_tables_share_one_int_per_value(self):
+        entries = [v for t in (allen._LL, allen._LH, allen._HL, allen._HH) for row in t for v in row]
+        assert len({id(v) for v in entries}) == len(set(entries))
+
+    @example(0, 0)
+    @example(0, (1 << 13) - 1)
+    @example((1 << 13) - 1, 0)
+    @example((1 << 13) - 1, (1 << 13) - 1)
+    @given(st.integers(0, (1 << 13) - 1), st.integers(0, (1 << 13) - 1))
+    def test_compose_matches_per_bit_union(self, m1, m2):
+        left, right = RelationSet(m1), RelationSet(m2)
+        expected = reduce(or_, (compose_oracle(r1, r2) for r1 in left for r2 in right), RelationSet.empty())
+        assert compose(left, right) == expected
 
     def test_converse_matches_definition_on_every_mask(self):
         for mask in range(1 << 13):
@@ -298,10 +340,11 @@ class TestConstraintNetwork:
 
 @st.composite
 def networks(draw):
-    """A variable count n of 4-12 and at least n constraints over random
-    ordered pairs, some pairs constrained twice or in both orientations,
-    with arbitrary labels, the empty one included."""
-    n = draw(st.integers(4, 12))
+    """A variable count n of 4-16 (the benchmark's networks have 6-16) and
+    at least n constraints over random ordered pairs, some pairs constrained
+    twice or in both orientations, with arbitrary labels, the empty one
+    included."""
+    n = draw(st.integers(4, 16))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     label = st.integers(0, (1 << 13) - 1).map(RelationSet)
     size = {"min_size": n, "max_size": n * (n - 1) // 2 + 4}
@@ -313,8 +356,11 @@ class TestPropagationOracle:
     @settings(max_examples=60, deadline=None)
     @given(networks())
     def test_propagate_matches_per_bit_oracle(self, network):
-        # Same queue, per-base-pair composition: the chunk tables leave
-        # every label and every witness as the 13x13 definition gives them.
+        # Same queue, per-base-pair composition: the pair tables leave every
+        # label and every witness as the 13x13 definition gives them. The
+        # oracle still skips k in (i, j) and has no full-label skip, so a
+        # match also shows that leaving both out of `propagate` changes
+        # nothing.
         n, constraints = network
         names = [f"v{k}" for k in range(n)]
         net = ConstraintNetwork()

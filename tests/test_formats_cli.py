@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from soma_kit import (
     FORMAT_VERSION,
+    CompiledLibrary,
     ConditionalSuccedence,
     RawEvent,
     TokenClass,
@@ -1100,7 +1101,7 @@ class TestCli:
     @pytest.mark.parametrize("defect", list(VALIDATION_ISSUES))
     def test_validation_issue_on_plain_list(self, seed, pouring_episode, defect):
         # Descriptions built without a load meet the rules of `validate` on
-        # every door into the search.
+        # every door into the search, a CompiledLibrary built by hand too.
         store, library = seed
         (interp,) = parse(pouring_episode, library, store)
         doc = json.loads(SEED_LIBRARY.read_text())
@@ -1110,6 +1111,7 @@ class TestCli:
         for call in (
             lambda: parse(pouring_episode, plain, store),
             lambda: verify_interpretation(interp, pouring_episode, plain, store),
+            lambda: parse(pouring_episode, CompiledLibrary(plain, store), store),
         ):
             with pytest.raises(ValidationFailed) as exc:
                 call()

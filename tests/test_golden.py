@@ -8,6 +8,10 @@ tendency/stronger pair. `tokens_state_episode.out` pins state splitting
 the same way: one `id start end type_tag` line per token of a seeded episode,
 and `parse_state_split.out` pins a `parse` that grounds a phase on the
 second segment of a state split by another state over the same objects.
+`propagation_library.json` holds one 16-phase plan whose constraints are
+the true relations of concrete phase spans, as the benchmark's query
+library makes them, so `validate_propagation.out` and
+`query_propagation.out` pin path consistency over 17 variables.
 `all_descriptions_library.json` holds one description of each type (a plan
 with a goal, a binding and a succedence, and process flows with and without
 a defined event); its canonical serialization is pinned in
@@ -33,6 +37,7 @@ LIB, POUR, AMB = str(SEED_LIBRARY), str(POURING_EPISODE), str(AMBIGUOUS_EPISODE)
 ALL, MIX = str(ALL_DESCRIPTIONS_LIBRARY), str(GOLDEN / "mixing_episode.json")
 SPLIT_LIB = str(GOLDEN / "state_split_library.json")
 SPLIT_EP = str(GOLDEN / "state_split_episode.json")
+PROP_LIB = str(GOLDEN / "propagation_library.json")
 
 # name -> (argv, exit code)
 CASES = {
@@ -50,6 +55,8 @@ CASES = {
     "validate_all_descriptions": (("validate", ALL), 0),
     "parse_mixing": (("parse", ALL, MIX), 0),
     "parse_state_split": (("parse", SPLIT_LIB, SPLIT_EP), 0),
+    "validate_propagation": (("validate", PROP_LIB), 0),
+    "query_propagation": (("query", PROP_LIB, "AssemblyPlan", "Step_0", "Step_14"), 0),
     "query_mixing_phases": (("query", ALL, "MixingFlow", "Rotating_0", "Tilting"), 0),
     "query_mixing_defined": (("query", ALL, "MixingFlow", "Mixing", "Rotating_0"), 0),
     "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),
