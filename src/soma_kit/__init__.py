@@ -43,10 +43,8 @@ from .grounding import (
 )
 from .ontology import (
     And,
-    ClassificationResult,
     Concept,
     ConceptKind,
-    Disposition,
     Entity,
     EntityKind,
     HasDisposition,

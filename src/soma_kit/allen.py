@@ -237,8 +237,6 @@ def _chunk_table(masks: Sequence[int]) -> List[int]:
     return table
 
 
-_COMPOSE_LOW = [_chunk_table(row[:7]) for row in _COMPOSE]
-_COMPOSE_HIGH = [_chunk_table(row[7:]) for row in _COMPOSE]
 _CONVERSE_LOW = _chunk_table([1 << q for q in _CONVERSE[:7]])
 _CONVERSE_HIGH = _chunk_table([1 << q for q in _CONVERSE[7:]])
 
@@ -259,12 +257,16 @@ def _pair_table(rows: Sequence[Sequence[int]], shared: Dict[int, int]) -> List[L
     return table
 
 
-_SHARED: Dict[int, int] = {}
-_LL = _pair_table(_COMPOSE_LOW[:7], _SHARED)
-_LH = _pair_table(_COMPOSE_HIGH[:7], _SHARED)
-_HL = _pair_table(_COMPOSE_LOW[7:], _SHARED)
-_HH = _pair_table(_COMPOSE_HIGH[7:], _SHARED)
-del _SHARED
+def _pair_tables() -> List[List[List[int]]]:
+    """`_LL`, `_LH`, `_HL`, `_HH` from per-relation chunk tables that live only
+    while they are built; equal entries of all four are one int object."""
+    low = [_chunk_table(row[:7]) for row in _COMPOSE]
+    high = [_chunk_table(row[7:]) for row in _COMPOSE]
+    shared: Dict[int, int] = {}
+    return [_pair_table(rows, shared) for rows in (low[:7], high[:7], low[7:], high[7:])]
+
+
+_LL, _LH, _HL, _HH = _pair_tables()
 
 
 def _compose_mask(m1: int, m2: int) -> int:

@@ -43,7 +43,6 @@ from .grounding import Scene
 from .ontology import (
     And,
     ConceptKind,
-    Disposition,
     Entity,
     EntityKind,
     HasDisposition,
@@ -482,7 +481,8 @@ def load_episode_document(
     record, and so is a disposition's non-null `affordance`, which no answer
     reads; an object id used twice, an unknown participant or event class
     is a validation issue; a non-positive or non-finite eps is a
-    DegenerateInterval (from `tokenize`)."""
+    DegenerateInterval (from `tokenize`). An object's dispositions are read
+    as their type names and its qualities as (type, value, units), no ids."""
     issues: List[str] = []
     scene = _scene_from_json(doc.get("scene", {}), issues)
     raw_events: List[RawEvent] = []
@@ -546,17 +546,16 @@ def _scene_from_json(node, issues: List[str]) -> Scene:
         eid = _required(record, "id", at)
         qualities = tuple(
             Quality(
-                id=f"{eid}.q{i}",
-                type_tag=_required(q, "type", q_at),
-                value=_optional(q, "value", q_at, Real),
-                units=_optional(q, "units", q_at),
+                _required(q, "type", q_at),
+                _optional(q, "value", q_at, Real),
+                _optional(q, "units", q_at),
             )
-            for i, (q_at, q) in enumerate(_records(record, "qualities", at))
+            for q_at, q in _records(record, "qualities", at)
         )
         dispositions = []
-        for i, (d_at, d) in enumerate(_records(record, "dispositions", at)):
+        for d_at, d in _records(record, "dispositions", at):
             _unsupported(d, "affordance", d_at)
-            dispositions.append(Disposition(f"{eid}.d{i}", eid, _required(d, "type", d_at)))
+            dispositions.append(_required(d, "type", d_at))
         name = _optional(record, "name", at, default=eid)
         type_tag = _optional(record, "type_tag", at, default=name)
         if eid in objects:
@@ -583,7 +582,7 @@ def serialize_episode(episode: Episode, raw_events: Sequence[RawEvent]) -> dict:
                     "id": e.id,
                     "name": e.name,
                     "type_tag": e.type_tag,
-                    "dispositions": [{"type": d.disposition_type} for d in e.dispositions],
+                    "dispositions": [{"type": t} for t in e.dispositions],
                     "qualities": [
                         {"type": q.type_tag, "value": q.value, "units": q.units}
                         for q in e.qualities

@@ -79,8 +79,8 @@ def force_outcome(expr: ForceExpression) -> ForceOutcome:
 
 
 def admits(role_id: str, eid: str, scene: Scene, store: OntologyStore) -> bool:
-    """Whether scene entity `eid` may play Role `role_id`: the role
-    classifies it."""
+    """Whether scene entity `eid` may play Role `role_id`: it is in the
+    scene and the role classifies it (`check_classification`, a bool)."""
     return eid in scene and store.check_classification(role_id, scene.entity(eid))
 
 

@@ -120,30 +120,21 @@ Restriction = Union[KindIs, TypeTagIn, HasDisposition, RegionWithin, And, Or]
 
 @dataclass(frozen=True)
 class Quality:
-    id: str
     type_tag: str
     value: Optional[float] = None
     units: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class Disposition:
-    """A disposition of its bearer object, by type: `HasDisposition` reads
-    the type. What it affords is a concept of kind affordance, not a field."""
-
-    id: str
-    bearer: str
-    disposition_type: str
-
-
-@dataclass(frozen=True)
 class Entity:
+    """A ground entity; an object's dispositions are their type names."""
+
     id: str
     name: str
     kind: EntityKind
     type_tag: str
     qualities: Tuple[Quality, ...] = ()
-    dispositions: Tuple[Disposition, ...] = ()
+    dispositions: Tuple[str, ...] = ()
     participants: Tuple[str, ...] = ()
     value: Optional[float] = None
     units: Optional[str] = None
@@ -162,18 +153,6 @@ class Concept:
     kind: ConceptKind
     parents: FrozenSet[str] = frozenset()
     restriction: Optional[Restriction] = None
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    accepted: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.accepted
-
-
-ACCEPTED = ClassificationResult(True)
 
 
 # --- Store -------------------------------------------------------------------
@@ -307,7 +286,7 @@ class OntologyStore:
         if isinstance(r, TypeTagIn):
             return e.type_tag in r.tags
         if isinstance(r, HasDisposition):
-            return any(d.disposition_type == r.disposition_type for d in e.dispositions)
+            return r.disposition_type in e.dispositions
         if isinstance(r, RegionWithin):
             if e.kind is EntityKind.REGION:
                 return e.units == r.units and e.value is not None and r.lo <= e.value <= r.hi
@@ -321,28 +300,12 @@ class OntologyStore:
             return any(self.satisfies_restriction(e, item) for item in r.items)
         raise TypeError(f"not a restriction: {r!r}")
 
-    def check_classification(self, concept_id: str, e: Entity) -> ClassificationResult:
-        """Can this social concept legally classify this ground entity?"""
+    def check_classification(self, concept_id: str, e: Entity) -> bool:
+        """Whether this social concept classifies this ground entity: its kind
+        is one the concept's kind classifies and it meets any restriction."""
         concept = self.concept(concept_id)
         legal = CLASSIFIABLE_KINDS.get(concept.kind)
         if legal is None:
             raise BranchViolation(f"{concept.kind.value} concepts do not classify ground entities")
-        if e.kind not in legal:
-            return ClassificationResult(
-                False, f"{concept.kind.value} cannot classify {e.kind.value} entities"
-            )
-        if concept.restriction is None or self.satisfies_restriction(e, concept.restriction):
-            return ACCEPTED
-        return ClassificationResult(False, _rejection_reason(concept.restriction))
-
-
-def _rejection_reason(r: Restriction) -> str:
-    if isinstance(r, HasDisposition):
-        return f"missing disposition {r.disposition_type}"
-    if isinstance(r, KindIs):
-        return f"entity kind is not {r.kind.value}"
-    if isinstance(r, TypeTagIn):
-        return f"type tag not in {sorted(r.tags)}"
-    if isinstance(r, RegionWithin):
-        return f"value outside [{r.lo}, {r.hi}] {r.units}"
-    return "restriction not satisfied"
+        r = concept.restriction
+        return e.kind in legal and (r is None or self.satisfies_restriction(e, r))

@@ -17,7 +17,7 @@ from soma_kit import (
     TokenClass,
 )
 from soma_kit.activity import RELATION_VOCABULARY, validate_description
-from soma_kit.ontology import Disposition, Entity, EntityKind
+from soma_kit.ontology import Entity, EntityKind
 from soma_kit.parsing import Episode
 
 MOTIONS = ("Reach", "Lift", "Push", "Slide")
@@ -52,10 +52,7 @@ def random_scene(rng: random.Random) -> Scene:
     objects = {}
     for i in range(rng.randint(2, 4)):
         eid = f"obj{i}"
-        dispositions = tuple(
-            Disposition(f"{eid}.d{j}", eid, d)
-            for j, d in enumerate(rng.sample(DISPOSITIONS, rng.randint(0, 2)))
-        )
+        dispositions = tuple(rng.sample(DISPOSITIONS, rng.randint(0, 2)))
         objects[eid] = Entity(
             eid, eid, EntityKind.OBJECT, f"Thing{i}", dispositions=dispositions
         )

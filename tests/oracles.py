@@ -238,7 +238,7 @@ def restriction_brute_force(entity, r):
     if isinstance(r, HasDisposition):
         found = False
         for d in entity.dispositions:
-            if d.disposition_type == r.disposition_type:
+            if d == r.disposition_type:
                 found = True
         return found
     if isinstance(r, RegionWithin):

@@ -172,7 +172,7 @@ def test_criterion_7_dispositional_selection_biconditional():
             scan = frozenset(
                 eid
                 for eid, e in scene.objects.items()
-                if store.check_classification(role, e).accepted
+                if store.check_classification(role, e)
             )
             assert selection[role] == scan
     report(7, "dispositional-selection-biconditional", "100 random scenes")

@@ -82,11 +82,12 @@ class TestChunkTables:
 
     @pytest.mark.parametrize("r1", ALL, ids=lambda r: r.code)
     def test_compose_chunks_match_oracle(self, r1):
+        # The chunk table of r1 is the pair tables' row for r1's single bit.
         row = [compose_oracle(r1, r2) for r2 in ALL]
-        for offset, width, table in (
-            (0, 7, allen._COMPOSE_LOW[r1.index]),
-            (7, 6, allen._COMPOSE_HIGH[r1.index]),
-        ):
+        p = r1.index
+        low, high = (allen._LL, allen._LH) if p < 7 else (allen._HL, allen._HH)
+        bit = 1 << p if p < 7 else 1 << (p - 7)
+        for offset, width, table in ((0, 7, low[bit]), (7, 6, high[bit])):
             assert len(table) == 1 << width
             for chunk in range(1 << width):
                 expected = RelationSet.empty()

@@ -15,15 +15,29 @@ library makes them, so `validate_propagation.out` and
 `all_descriptions_library.json` holds one description of each type (a plan
 with a goal, a binding and a succedence, and process flows with and without
 a defined event); its canonical serialization is pinned in
-`all_descriptions_canonical.json`.
+`all_descriptions_canonical.json`. `scene_episode.json` gives its objects
+qualities with and without a value or units and repeated dispositions; its
+canonical serialization is pinned in `scene_episode_canonical.json`, and
+`select_scene.out` selects its objects for roles of `scene_library.json`
+restricted by a disposition, by a quality region and by both.
 """
 
+import json
 import pathlib
 import random
 
 import pytest
 
-from soma_kit import dumps_canonical, load_library, serialize_library, tokenize
+from soma_kit import (
+    RawEvent,
+    TokenClass,
+    dumps_canonical,
+    load_episode,
+    load_library,
+    serialize_episode,
+    serialize_library,
+    tokenize,
+)
 from soma_kit.cli import main
 
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
@@ -38,6 +52,8 @@ ALL, MIX = str(ALL_DESCRIPTIONS_LIBRARY), str(GOLDEN / "mixing_episode.json")
 SPLIT_LIB = str(GOLDEN / "state_split_library.json")
 SPLIT_EP = str(GOLDEN / "state_split_episode.json")
 PROP_LIB = str(GOLDEN / "propagation_library.json")
+SCENE_LIB = str(GOLDEN / "scene_library.json")
+SCENE_EPISODE = GOLDEN / "scene_episode.json"
 
 # name -> (argv, exit code)
 CASES = {
@@ -62,6 +78,7 @@ CASES = {
     "query_stirring_phases": (("query", ALL, "StirringFlow", "Rotating", "Approaching_1"), 0),
     "query_unknown_plan": (("query", ALL, "NoSuchPlan", "Mixing", "Rotating_0"), 2),
     "select_mixing_phase": (("select", ALL, POUR, "Tilting_1"), 0),
+    "select_scene": (("select", SCENE_LIB, str(SCENE_EPISODE), "Serving"), 0),
     "force_motion_agonist": (("force", "--tendency", "motion", "--stronger", "agonist"), 0),
     "force_motion_antagonist": (("force", "--tendency", "motion", "--stronger", "antagonist"), 0),
     "force_rest_agonist": (("force", "--tendency", "rest", "--stronger", "agonist"), 0),
@@ -88,3 +105,13 @@ def test_golden_all_descriptions_canonical():
     store, library = load_library(ALL_DESCRIPTIONS_LIBRARY)
     dump = dumps_canonical(serialize_library(store, library))
     assert dump == (GOLDEN / "all_descriptions_canonical.json").read_text()
+
+
+def test_golden_scene_episode_canonical():
+    events = json.loads(SCENE_EPISODE.read_text())["events"]
+    raws = [
+        RawEvent(TokenClass(e["class"]), e["type"], tuple(e["participants"]), e["start"], e["end"])
+        for e in events
+    ]
+    dump = dumps_canonical(serialize_episode(load_episode(SCENE_EPISODE), raws))
+    assert dump == (GOLDEN / "scene_episode_canonical.json").read_text()

@@ -13,18 +13,13 @@ from soma_kit import (
     select_objects,
 )
 from soma_kit.errors import UnknownRole
-from soma_kit.ontology import Disposition, Entity, EntityKind
+from soma_kit.ontology import Entity, EntityKind
 
 from generators import build_generator_store, random_scene
 
 
 def obj(eid, *dispositions):
-    return Entity(
-        eid, eid, EntityKind.OBJECT, eid.capitalize(),
-        dispositions=tuple(
-            Disposition(f"{eid}.d{i}", eid, d) for i, d in enumerate(dispositions)
-        ),
-    )
+    return Entity(eid, eid, EntityKind.OBJECT, eid.capitalize(), dispositions=dispositions)
 
 
 class TestSelectObjects:
@@ -70,7 +65,7 @@ class TestSelectObjects:
                 expected = frozenset(
                     eid
                     for eid, entity in scene.objects.items()
-                    if store.check_classification(role, entity).accepted
+                    if store.check_classification(role, entity)
                 )
                 assert selection[role] == expected
 
