@@ -9,6 +9,10 @@ with each (A-to-B, B-to-C) pair. Both are positional: a relation's position
 is its declaration order in BaseRelation, and bit p of a 13-bit mask stands
 for the relation at position p.
 
+The qualitative abstraction has one decision tree, `relation_rows`: for one
+anchor interval and many others it returns 13 bitsets, one per relation, and
+`relation_from_endpoints` reads a single pair from it.
+
 Masks are composed and conversed through chunk tables derived from those two
 at import. A 13-bit mask splits into a 7-bit low chunk (positions 0-6) and a
 6-bit high chunk (positions 7-12). The converse of a mask is the OR of two
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from operator import or_
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateInterval, StaleNetwork, UnknownVariable
 
@@ -158,10 +162,54 @@ class ConcreteInterval:
             raise ValueError(f"interval must satisfy start < end: [{self.start}, {self.end}]")
 
 
-def _cmp_eps(x: float, y: float, eps: float) -> int:
-    if abs(x - y) <= eps:
-        return 0
-    return -1 if x < y else 1
+def relation_rows(
+    anchor: ConcreteInterval, spans: Iterable[Tuple[int, float, float]], eps: float = 0.0
+) -> List[int]:
+    """The relations of an anchor interval to many others, as 13 bitsets.
+
+    `spans` holds (b, start, end) triples; bit b of row p is on iff the
+    anchor stands in the relation at position p to span b. Endpoints within
+    eps of each other are treated as coincident, so each span sets one bit
+    in one row, unless it or the anchor collapses under eps (width at most
+    2 * eps): such a span is in no row, and a collapsed anchor leaves every
+    row empty.
+    """
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    rows = [0] * 13
+    s0, e0 = anchor.start, anchor.end
+    width = 2 * eps
+    if e0 - s0 <= width:
+        return rows
+    for b, s, e in spans:
+        if e - s <= width:
+            continue
+        # Start is compared with start, end with end, then the gap between
+        # them, each as abs(x - y) <= eps before x < y. Thresholds such as
+        # y <= x + eps would round differently and disagree at the boundary.
+        if abs(s0 - s) <= eps:
+            if abs(e0 - e) <= eps:
+                p = 12  # eq
+            else:
+                p = 6 if e0 < e else 7  # s, si
+        elif abs(e0 - e) <= eps:
+            p = 11 if s0 < s else 10  # fi, f
+        elif s0 < s:
+            if e0 < e:
+                if abs(e0 - s) <= eps:
+                    p = 2  # m
+                else:
+                    p = 0 if e0 < s else 4  # b, o
+            else:
+                p = 9  # di
+        elif e0 < e:
+            p = 8  # d
+        elif abs(e - s0) <= eps:
+            p = 3  # mi
+        else:
+            p = 1 if e < s0 else 5  # bi, oi
+        rows[p] |= 1 << b
+    return rows
 
 
 def relation_from_endpoints(
@@ -170,40 +218,15 @@ def relation_from_endpoints(
     """Qualitative relation of two concrete intervals.
 
     Endpoints within eps of each other are treated as coincident; the result
-    is the unique base relation under that coarsened comparison.
+    is the unique base relation under that coarsened comparison, read from
+    the one-span `relation_rows` of a. An interval of width at most 2 * eps
+    raises DegenerateInterval.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    for iv in (a, b):
-        if iv.end - iv.start <= 2 * eps:
-            raise DegenerateInterval(
-                f"interval [{iv.start}, {iv.end}] collapses under eps={eps}"
-            )
-    cs = _cmp_eps(a.start, b.start, eps)
-    ce = _cmp_eps(a.end, b.end, eps)
-    if cs == 0 and ce == 0:
-        return BaseRelation.EQUALS
-    if cs == 0:
-        return BaseRelation.STARTS if ce < 0 else BaseRelation.STARTED_BY
-    if ce == 0:
-        return BaseRelation.FINISHES if cs > 0 else BaseRelation.FINISHED_BY
-    if cs < 0 and ce < 0:
-        gap = _cmp_eps(a.end, b.start, eps)
-        if gap < 0:
-            return BaseRelation.BEFORE
-        if gap == 0:
-            return BaseRelation.MEETS
-        return BaseRelation.OVERLAPS
-    if cs > 0 and ce > 0:
-        gap = _cmp_eps(b.end, a.start, eps)
-        if gap < 0:
-            return BaseRelation.AFTER
-        if gap == 0:
-            return BaseRelation.MET_BY
-        return BaseRelation.OVERLAPPED_BY
-    if cs < 0 and ce > 0:
-        return BaseRelation.CONTAINS
-    return BaseRelation.DURING
+    rows = relation_rows(a, [(0, b.start, b.end)], eps)
+    if 1 not in rows:
+        iv = a if a.end - a.start <= 2 * eps else b
+        raise DegenerateInterval(f"interval [{iv.start}, {iv.end}] collapses under eps={eps}")
+    return _RELATIONS[rows.index(1)]
 
 
 def _generate_tables() -> Tuple[List[List[int]], List[int]]:

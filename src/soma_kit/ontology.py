@@ -140,8 +140,10 @@ class Entity:
     units: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind is not EntityKind.OBJECT and (self.qualities or self.dispositions):
-            raise KindMismatch(f"only Object entities carry qualities: {self.id}")
+        if self.kind is not EntityKind.OBJECT:
+            for field in ("qualities", "dispositions"):
+                if getattr(self, field):
+                    raise KindMismatch(f"only Object entities carry {field}: {self.id}")
         if self.participants and self.kind not in EVENT_ENTITY_KINDS:
             raise KindMismatch(f"only event entities carry participants: {self.id}")
 

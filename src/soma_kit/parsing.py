@@ -2,9 +2,13 @@
 libraries against the token stream, emitting every constraint-consistent
 interpretation.
 
-The parser is a phase-ordered backtracking search pruned by concept
-subsumption and temporal label membership; its contract is defined by
-exhaustive enumeration of injective phase-to-token assignments.
+The parser is a phase-ordered backtracking search over int bitsets of
+token positions. Concept subsumption gives each phase its candidates; each
+time a phase takes a token, forward checking on the propagated temporal
+labels narrows every later phase's candidates to the tokens whose observed
+relation to it the label allows, read from whole relation rows
+(`allen.relation_rows`). Its contract is defined by exhaustive enumeration
+of injective phase-to-token assignments.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import product
+from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .activity import Description, binding_classes, validate_and_compile
-from .allen import ConcreteInterval, ConstraintNetwork, relation_from_endpoints
+from .allen import ConcreteInterval, ConstraintNetwork, relation_rows
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration, ValidationFailed
 from .grounding import Scene, admits
 from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
@@ -256,16 +261,6 @@ def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
     )
 
 
-def _relation_bit(tokens: Sequence[Token], eps: float, a: int, b: int) -> int:
-    """Bit of the observed relation between two tokens, by episode position;
-    0 when either collapses under eps, since widened point tokens cannot
-    anchor temporal labels."""
-    try:
-        return relation_from_endpoints(tokens[a].interval, tokens[b].interval, eps).bit
-    except DegenerateInterval:
-        return 0
-
-
 def _role_assignments(
     classes: Sequence[_RoleClass],
     phase_grounding: Dict[str, Token],
@@ -292,71 +287,96 @@ def parse(
     episode: Episode, library: Sequence[Description], store: OntologyStore
 ) -> List[Interpretation]:
     """Every interpretation of the episode under the plan library, ranked."""
-    found: List[Interpretation] = []
     tokens = episode.tokens
     # Each question below is answered once per call, never across calls: the
     # store may be unfrozen and change between them, and episodes differ.
-    bit = cache(partial(_relation_bit, tokens, episode.eps))
     event_types = cache(partial(_event_types, store=store))
     admitted = cache(partial(admits, scene=episode.scene, store=store))
 
     @cache
-    def fitting(concept: str) -> List[int]:
-        """Positions, in episode order, of the tokens a phase of `concept` fits."""
+    def fitting(concept: str) -> int:
+        """Bitset of the positions of the tokens a phase of `concept` fits."""
         cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
-        return [pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag)]
+        return sum(1 << pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag))
 
+    searches: List[Tuple[CompiledPlan, List[int]]] = []
     for plan in _compile(library, store).compiled:
-        d = plan.description
-        if d.phases:
-            candidates = [fitting(p.concept) for p in d.phases]
-            found += _interpretations(plan, candidates, episode, bit, admitted, [], set())
+        domains = [fitting(p.concept) for p in plan.description.phases]
+        if domains and all(domains):  # a phase no token fits matches nothing
+            searches.append((plan, domains))
+    later = reduce(or_, (dom for _, domains in searches for dom in domains[1:]), 0)
+    allowed = _relation_filter(tokens, episode.eps, later)
+    found: List[Interpretation] = []
+    for plan, domains in searches:
+        found += _interpretations(plan, domains, episode, allowed, admitted, [])
     return rank(found)
+
+
+def _relation_filter(tokens: Sequence[Token], eps: float, fit: int) -> Callable[[int, int], int]:
+    """`allowed(a, mask)`: the bitset of the positions b in `fit` such that
+    token a stands to token b in a relation of the 13-bit `mask`. Only a
+    phase after a plan's first has its domain narrowed, so `fit` need only
+    hold the positions that fit such a phase. Token a's relation rows are
+    read once, when first asked for, and kept as (relation bit, positions)
+    for the nonempty ones. A token that collapses under eps, a widened
+    point, anchors no temporal label: it is in no row, and its own rows are
+    empty."""
+    spans = [
+        (pos, t.interval.start, t.interval.end) for pos, t in enumerate(tokens) if fit >> pos & 1
+    ]
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+
+    def allowed(a: int, mask: int) -> int:
+        if a not in rows:
+            row = relation_rows(tokens[a].interval, spans, eps)
+            rows[a] = [(1 << p, positions) for p, positions in enumerate(row) if positions]
+        found = 0
+        for rel, positions in rows[a]:
+            if mask & rel:
+                found |= positions
+        return found
+
+    return allowed
 
 
 def _interpretations(
     plan: CompiledPlan,
-    candidates: Sequence[Sequence[int]],
+    domains: Sequence[int],
     episode: Episode,
-    bit: Callable[[int, int], int],
+    allowed: Callable[[int, int], int],
     admitted: Callable[[str, str], bool],
-    assigned: List[Tuple[int, int]],
-    used: Set[int],
+    assigned: List[int],
 ) -> Iterable[Interpretation]:
-    """Every interpretation that extends `assigned`, (phase index, token
-    position) pairs, phase by phase and injectively; `candidates[k]` holds
-    the positions, in episode order, of the tokens whose type matches
-    phase k."""
+    """Every interpretation that extends `assigned`, the token positions of
+    the first k phases, injectively. `domains` holds a bitset of positions
+    for each phase from k on: those whose type fits the phase and that no
+    assignment so far excludes. Assigning a token to phase k forward checks
+    every later phase m: it keeps only the positions other than the token's
+    that the token's row of `masks[k][m]` allows, and an emptied domain
+    prunes the branch. Tokens are tried in episode order."""
     d = plan.description
     k = len(assigned)
-    if k == len(d.phases):
-        grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in assigned}
+    if not domains:
+        grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in enumerate(assigned)}
         for roles in _role_assignments(plan.classes, grounding, admitted):
             yield _make_interpretation(d, grounding, roles, episode)
         return
-    for pos in candidates[k]:
-        if pos in used or not _temporally_admissible(plan.masks, k, pos, assigned, bit):
-            continue
-        assigned.append((k, pos))
-        used.add(pos)
-        yield from _interpretations(plan, candidates, episode, bit, admitted, assigned, used)
-        used.discard(pos)
-        assigned.pop()
-
-
-def _temporally_admissible(
-    masks: _Masks,
-    k: int,
-    pos: int,
-    assigned: Sequence[Tuple[int, int]],
-    bit: Callable[[int, int], int],
-) -> bool:
-    """Token `pos` may fill phase k iff, for every assigned (phase j, token),
-    the observed relation's bit lies in the propagated label from j to k."""
-    for j, other in assigned:
-        if not masks[j][k] & bit(other, pos):
-            return False
-    return True
+    labels = plan.masks[k]
+    domain, *later = domains
+    while domain:
+        bit = domain & -domain
+        domain ^= bit
+        pos = bit.bit_length() - 1
+        narrowed: List[int] = []
+        for m, dom in enumerate(later, k + 1):
+            dom &= ~bit & allowed(pos, labels[m])
+            if not dom:
+                break
+            narrowed.append(dom)
+        else:
+            assigned.append(pos)
+            yield from _interpretations(plan, narrowed, episode, allowed, admitted, assigned)
+            assigned.pop()
 
 
 def _make_interpretation(
@@ -386,10 +406,11 @@ def verify_interpretation(
     library: Sequence[Description],
     store: OntologyStore,
 ) -> bool:
-    """Re-derivation through the parser's own search: offered only the token
-    it grounds for each phase (none when the types do not match), the search
-    yields the interpretation's phase and role groundings, order aside and
-    each entry once; coverage and earliest start are not checked."""
+    """Re-derivation through the parser's own search: with each phase's
+    domain the one token it grounds (empty when the types do not match), the
+    search, forward checking as `parse` does, yields the interpretation's
+    phase and role groundings, order aside and each entry once; coverage and
+    earliest start are not checked."""
     library = _compile(library, store)
     by_id = dict(zip((d.id for d in library), library.compiled))
     if interp.plan not in by_id:
@@ -407,17 +428,17 @@ def verify_interpretation(
         if tid not in positions:
             raise DanglingReference(f"unknown token: {tid}")
         grounding[pid] = positions[tid]
-    candidates = [
-        [pos]
+    domains = [
+        1 << pos
         if (pos := grounding.get(p.id)) is not None
         and store.concept(p.concept).id in _event_types(episode.tokens[pos].type_tag, store)
-        else []
+        else 0
         for p in d.phases
     ]
-    bit = partial(_relation_bit, episode.tokens, episode.eps)
+    allowed = _relation_filter(episode.tokens, episode.eps, reduce(or_, domains[1:], 0))
     admitted = partial(admits, scene=episode.scene, store=store)
     groundings = (tuple(sorted(interp.phase_grounding)), tuple(sorted(interp.role_grounding)))
     return any(
         (i.phase_grounding, i.role_grounding) == groundings
-        for i in _interpretations(plan, candidates, episode, bit, admitted, [], set())
+        for i in _interpretations(plan, domains, episode, allowed, admitted, [])
     )

@@ -204,27 +204,36 @@ def propagate_oracle(n, constraints):
     return True, None, labels
 
 
-def relation_case_analysis(a, b):
-    """Direct case analysis of two concrete intervals at eps=0."""
-    if a.end < b.start:
+def relation_case_analysis(a, b, eps=0):
+    """Direct case analysis of two concrete intervals; endpoints within eps
+    of each other coincide. Exact for eps > 0 only where the endpoint
+    differences are exact, such as on a grid of quarters."""
+
+    def eq(x, y):
+        return abs(x - y) <= eps
+
+    def lt(x, y):
+        return x < y and not eq(x, y)
+
+    if lt(a.end, b.start):
         return BaseRelation.BEFORE
-    if a.end == b.start:
+    if eq(a.end, b.start):
         return BaseRelation.MEETS
-    if b.end < a.start:
+    if lt(b.end, a.start):
         return BaseRelation.AFTER
-    if b.end == a.start:
+    if eq(b.end, a.start):
         return BaseRelation.MET_BY
-    if a.start == b.start and a.end == b.end:
+    if eq(a.start, b.start) and eq(a.end, b.end):
         return BaseRelation.EQUALS
-    if a.start == b.start:
-        return BaseRelation.STARTS if a.end < b.end else BaseRelation.STARTED_BY
-    if a.end == b.end:
-        return BaseRelation.FINISHED_BY if a.start < b.start else BaseRelation.FINISHES
-    if a.start < b.start < b.end < a.end:
+    if eq(a.start, b.start):
+        return BaseRelation.STARTS if lt(a.end, b.end) else BaseRelation.STARTED_BY
+    if eq(a.end, b.end):
+        return BaseRelation.FINISHED_BY if lt(a.start, b.start) else BaseRelation.FINISHES
+    if lt(a.start, b.start) and lt(b.end, a.end):
         return BaseRelation.CONTAINS
-    if b.start < a.start < a.end < b.end:
+    if lt(b.start, a.start) and lt(a.end, b.end):
         return BaseRelation.DURING
-    if a.start < b.start:
+    if lt(a.start, b.start):
         return BaseRelation.OVERLAPS
     return BaseRelation.OVERLAPPED_BY
 

@@ -16,6 +16,7 @@ from soma_kit import (
     relation_from_endpoints,
 )
 from soma_kit import allen
+from soma_kit.allen import relation_rows
 from soma_kit.errors import DegenerateInterval, StaleNetwork, UnknownVariable
 
 from oracles import compose_oracle, network_realizable, propagate_oracle, relation_case_analysis
@@ -179,6 +180,100 @@ class TestRelationFromEndpoints:
     @given(intervals, intervals)
     def test_converse_symmetry(self, a, b):
         assert converse(relation_from_endpoints(a, b)) is relation_from_endpoints(b, a)
+
+
+# Endpoints where rounding decides: 0.1 + 0.2 is just above 0.3, and
+# abs(0.3 - 0.31) and abs(0.3 - 0.4) are just above 0.01 and 0.1, though
+# 0.31 <= 0.3 + 0.01 and 0.4 <= 0.3 + 0.1 hold.
+ROUNDING_ENDPOINTS = (0.1, 0.2, 0.1 + 0.2, 0.3, 0.29, 0.31, 0.4, 0.7, 0.69, 0.71)
+Iv = ConcreteInterval
+KERNEL_EPS = st.one_of(st.sampled_from((0.0, 0.01, 0.1, 0.25)), st.floats(0, 1))
+QUARTER_SPANS = st.tuples(st.integers(-8, 8), st.integers(1, 8)).map(
+    lambda t: ConcreteInterval(t[0] / 4, (t[0] + t[1]) / 4)
+)
+
+
+@st.composite
+def kernel_spans(draw, eps):
+    """An interval between two endpoints, or from one endpoint to it plus
+    eps, 2 * eps, 3 * eps or some quarters: quarters put endpoints exactly
+    eps apart when eps is 0.25, and widths of at most 2 * eps collapse."""
+    endpoint = st.one_of(
+        st.integers(-8, 8).map(lambda q: q / 4),
+        st.sampled_from(ROUNDING_ENDPOINTS),
+        st.floats(-2, 2, allow_nan=False),
+    )
+    start = draw(endpoint)
+    end = draw(st.one_of(
+        endpoint,
+        st.sampled_from((start + eps, start + 2 * eps, start + 3 * eps)),
+        st.integers(1, 8).map(lambda q: start + q / 4),
+    ))
+    start, end = min(start, end), max(start, end)
+    return ConcreteInterval(start, end if start < end else start + 0.25)
+
+
+@st.composite
+def kernel_cases(draw):
+    eps = draw(KERNEL_EPS)
+    return eps, draw(kernel_spans(eps)), draw(st.lists(kernel_spans(eps), max_size=10))
+
+
+class TestRelationRows:
+    """`relation_rows` reads many relations at once; pair by pair it says
+    what `relation_from_endpoints` says, and a collapsed interval is in no
+    row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases())
+    @example((0.25, Iv(0, 1), [Iv(1.25, 3), Iv(1.5, 3)]))
+    @example((0.01, Iv(0, 0.3), [Iv(0.31, 1), Iv(0.29, 1)]))
+    @example((0.0, Iv(0, 0.1 + 0.2), [Iv(0.3, 1)]))
+    @example((0.01, Iv(0, 1), [Iv(1, 1.01), Iv(1, 1.02)]))
+    @example((0.25, Iv(0, 0.5), [Iv(0, 1)]))
+    def test_rows_agree_with_relation_from_endpoints(self, case):
+        eps, anchor, others = case
+        rows = relation_rows(anchor, [(b, iv.start, iv.end) for b, iv in enumerate(others)], eps)
+        assert len(rows) == 13
+        assert reduce(or_, rows, 0) < 1 << len(others)
+        for b, iv in enumerate(others):
+            try:
+                expected = [relation_from_endpoints(anchor, iv, eps).index]
+            except DegenerateInterval:
+                expected = []
+            assert [p for p, row in enumerate(rows) if row >> b & 1] == expected, (b, iv)
+
+    @given(st.sampled_from((0.0, 0.25, 0.5)), QUARTER_SPANS, QUARTER_SPANS)
+    def test_quarter_grid_matches_case_analysis(self, eps, a, b):
+        if min(a.end - a.start, b.end - b.start) <= 2 * eps:
+            with pytest.raises(DegenerateInterval):
+                relation_from_endpoints(a, b, eps)
+        else:
+            assert relation_from_endpoints(a, b, eps) is relation_case_analysis(a, b, eps)
+
+    @pytest.mark.parametrize(
+        "eps, anchor, other, expected",
+        [
+            (0.25, (0, 1), (1.25, 3), BaseRelation.MEETS),  # exactly eps apart
+            (0.25, (0, 1), (1.5, 3), BaseRelation.BEFORE),
+            (0.01, (0, 0.3), (0.31, 1), BaseRelation.BEFORE),  # rounds just above eps
+            (0.1, (0, 0.3), (0.4, 1), BaseRelation.BEFORE),
+            (0.0, (0, 0.1 + 0.2), (0.3, 1), BaseRelation.OVERLAPS),
+            (0.01, (0, 0.1 + 0.2), (0.3, 1), BaseRelation.MEETS),
+            (0.01, (0, 1), (1, 1.02), BaseRelation.MEETS),  # 1.02 - 1 > 0.02
+            (0.01, (0, 1), (1, 1.01), None),  # width eps: a widened point
+            (0.25, (0, 1), (2, 2.5), None),  # width exactly 2 * eps
+            (0.25, (0, 0.5), (0, 1), None),  # a collapsed anchor
+        ],
+    )
+    def test_boundary_cases(self, eps, anchor, other, expected):
+        rows = relation_rows(ConcreteInterval(*anchor), [(3, *other)], eps)
+        bit = 0 if expected is None else 1 << expected.index
+        assert rows == [1 << 3 if 1 << p == bit else 0 for p in range(13)]
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            relation_rows(ConcreteInterval(0, 1), [], -0.1)
 
 
 class TestConstraintNetwork:

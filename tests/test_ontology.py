@@ -170,6 +170,19 @@ class TestClassification:
             assert store.check_classification(role, entity) is expected
 
 
+class TestEntityFields:
+    """A non-object entity that carries an object's field is rejected, and
+    the message names that field."""
+
+    def test_non_object_qualities_named(self):
+        with pytest.raises(KindMismatch, match=r"^only Object entities carry qualities: r$"):
+            Entity("r", "r", EntityKind.REGION, "Speed", qualities=(Quality("Volume", 0.3, "l"),))
+
+    def test_non_object_dispositions_named(self):
+        with pytest.raises(KindMismatch, match=r"^only Object entities carry dispositions: r$"):
+            Entity("r", "r", EntityKind.REGION, "Speed", dispositions=("Containment",))
+
+
 class TestRestrictions:
     def test_region_bound_check(self, store):
         region = Entity("r1", "r1", EntityKind.REGION, "Speed", value=0.4, units="m/s")

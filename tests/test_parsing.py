@@ -582,6 +582,52 @@ class TestParseOracleWide:
         assert parse(reordered, library, store) == parse(episode, library, store)
 
 
+SOLO = Description("Solo", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Motion"),))
+
+
+@st.composite
+def wide_cases(draw):
+    """Up to 2 plans of 1 or 2 phases, and the one-phase plan `Solo`, over
+    an episode of 65 to 80 motion tokens: a phase's candidates then span
+    more positions than a machine word holds. The last token is a widened
+    point, which anchors no temporal label, so only a one-phase plan can
+    ground it."""
+    store = build_generator_store()
+    library = [draw(realizable_plans(f"P{k}", 2)) for k in range(draw(st.integers(1, 2)))]
+    for d in library:
+        assume(not validate_description(d, store))
+    scene = random_scene(random.Random(draw(st.integers(0, 2**32 - 1))))
+    eps = draw(st.sampled_from((0.01, 0.25)))
+    objects = st.lists(st.sampled_from(sorted(scene.objects)), min_size=1, max_size=2, unique=True)
+    tokens = []
+    for i in range(draw(st.integers(64, 79))):
+        start = draw(st.integers(0, 16)) / 2
+        end = start + eps if draw(st.integers(0, 7)) == 0 else start + draw(st.integers(1, 8)) / 2
+        tokens.append(Token(f"t{i}", TokenClass.MOTION_EVENT, draw(st.sampled_from(WIDE_TAGS)),
+                            tuple(draw(objects)), ConcreteInterval(start, end)))
+    point = ConcreteInterval(9.0, 9.0 + eps)  # starts after every other token
+    tokens.append(Token("point", TokenClass.MOTION_EVENT, draw(st.sampled_from(WIDE_TAGS[:2])),
+                        tuple(draw(objects)), point))
+    tokens.sort(key=lambda t: (t.interval.start, t.interval.end, t.id))
+    return store, library + [SOLO], Episode("wide", tuple(tokens), scene, eps)
+
+
+class TestParseOracleWideEpisodes:
+    @settings(max_examples=15, deadline=None)
+    @given(wide_cases())
+    def test_matches_oracle_and_verifies(self, case):
+        store, library, episode = case
+        assert len(episode.tokens) > 64 and episode.tokens[-1].id == "point"
+        got = parse(episode, library, store)
+        assert {interp_key(i) for i in got} == parse_oracle(episode, library, store)
+        assert len(got) == len(set(map(interp_key, got)))
+        for i in got:
+            assert verify_interpretation(i, episode, library, store)
+        grounding_point = [i for i in got if "point" in dict(i.phase_grounding).values()]
+        assert any(i.plan == "Solo" for i in grounding_point)
+        assert all(len(i.phase_grounding) == 1 for i in grounding_point)
+
+
 @st.composite
 def bound_plans(draw):
     """Validation-clean plans with 1-3 bindings of 2-3 slots each. The
