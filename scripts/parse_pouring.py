@@ -8,6 +8,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from soma_kit import (  # noqa: E402
+    RelationSet,
     load_episode,
     load_library,
     parse,
@@ -20,12 +21,13 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 def main():
     store, library = load_library(DATA / "seed_library.json")
     plan = library[0]
-    net = library.compiled[0].network  # propagated once, when the library was validated
+    compiled = library.plan(plan.id)  # compiled once, when the library was validated
     print(f"loaded {len(library)} description(s); plan: {plan.id}")
-    print(
-        "Approaching vs Tilting:",
-        net.query_relation("Approaching_0", "Tilting_0").codes(),
+    a, b = (
+        next(row for p, row, _ in library.slots(name) if p is compiled)
+        for name in ("Approaching_0", "Tilting_0")
     )
+    print("Approaching vs Tilting:", RelationSet(compiled.masks[a][b]).codes())
     for name in ("pouring_episode.json", "pouring_ambiguous_episode.json"):
         episode = load_episode(DATA / name)
         print(f"\n{name}: {len(episode.tokens)} tokens")

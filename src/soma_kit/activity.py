@@ -265,9 +265,9 @@ def _endpoint_issues(r, slot_ids: Set[str]) -> Iterator[ValidationIssue]:
 
 
 def compile_constraints(d: Description) -> ConstraintNetwork:
-    """Interval network of a description, one variable per phase plus one for the
-    whole defined event, propagated to fixpoint; duplicate-slot and endpoint issues raise
-    ValidationFailed."""
+    """Interval network of a description, one variable per slot in `_slot_refs`
+    order, propagated to fixpoint; duplicate-slot and endpoint issues raise
+    ValidationFailed, so no other variable exists."""
     ids: Set[str] = set()
     issues = [i for ref in _slot_refs(d) for i in _duplicate_slot_issues(ref, ids)]
     issues += [i for r in (*d.constraints, *d.succedences) for i in _endpoint_issues(r, ids)]

@@ -445,15 +445,14 @@ class ConstraintNetwork:
             raise StaleNetwork("network mutated since last propagation")
         return self.get_label(i, j)
 
-    def masks(self, variables: Sequence[str]) -> Tuple[Tuple[int, ...], ...]:
-        """Propagated labels among `variables`, all in the network, as 13-bit
-        masks: row j, column k holds the label from the j-th to the k-th."""
+    def masks(self) -> Tuple[Tuple[int, ...], ...]:
+        """The propagated matrix as 13-bit masks, variables in insertion
+        order: row i, column j holds the label from the i-th to the j-th."""
         if self._stale:
             raise StaleNetwork("network mutated since last propagation")
-        at = [self._index[v] for v in variables]
         # From lists, not generators: with tuple() over generators, 500 loads
         # of a 4-plan library left peak RSS about 1 MB higher (CPython 3.11).
-        return tuple([tuple([self._labels[a][b] for b in at]) for a in at])
+        return tuple([tuple(row) for row in self._labels])
 
     def snapshot(self) -> Dict[Tuple[str, str], RelationSet]:
         """Labels of all pairs in insertion order, for equality comparisons."""

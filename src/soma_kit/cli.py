@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .activity import EventTypeRef, _slot_refs
+from .allen import RelationSet
 from .errors import SomaKitError, ValidationFailed
 from .formats import load_episode, load_library
 from .grounding import (
@@ -23,7 +23,7 @@ from .grounding import (
     force_outcome,
     select_objects,
 )
-from .parsing import DEFAULT_EPS, CompiledPlan, parse as parse_episode
+from .parsing import DEFAULT_EPS, parse as parse_episode
 
 
 def _eps(text: str) -> float:
@@ -124,48 +124,36 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _find_refs(store, plans: Iterable[CompiledPlan], name: str) -> List[EventTypeRef]:
-    """The slots, walking `_slot_refs` of each compiled description in
-    order, whose id or concept name is `name`."""
-    return [
-        ref
-        for plan in plans
-        for ref in _slot_refs(plan.description)
-        if ref.id == name
-        or (store.has_concept(ref.concept) and store.concept(ref.concept).name == name)
-    ]
-
-
 def _cmd_query(args) -> int:
-    store, library = load_library(args.library)
-    target = dict(zip((d.id for d in library), library.compiled)).get(args.plan)
-    if target is None:
+    _, library = load_library(args.library)
+    plan = library.plan(args.plan)
+    if plan is None:
         print(f"error: no plan or process flow named {args.plan!r}", file=sys.stderr)
         return 2
-    refs = []
+    rows = []
     for name in (args.phase_a, args.phase_b):
-        found = _find_refs(store, [target], name)
+        found = [(i, ref) for p, i, ref in library.slots(name) if p is plan]
         if not found:
             print(f"error: unknown phase {name!r}", file=sys.stderr)
             return 2
         if len(found) > 1:
-            ids = ", ".join(ref.id for ref in found)
+            ids = ", ".join(ref.id for _, ref in found)
             print(f"error: ambiguous phase {name!r}: {ids}", file=sys.stderr)
             return 2
-        refs += found
-    a, b = refs
-    print(target.network.query_relation(a.id, b.id).codes())
+        rows.append(found[0][0])
+    a, b = rows
+    print(RelationSet(plan.masks[a][b]).codes())
     return 0
 
 
 def _cmd_select(args) -> int:
     store, library = load_library(args.library)
     episode = load_episode(args.episode, eps=args.eps)
-    task_refs = _find_refs(store, library.compiled, args.task)
-    if not task_refs:
+    task = next(library.slots(args.task), None)
+    if task is None:
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
         return 2
-    selection = select_objects(task_refs[0], episode.scene, store)
+    selection = select_objects(task[2], episode.scene, store)
     for role in sorted(selection):
         members = " ".join(sorted(selection[role]))
         if args.format == "machine":

@@ -19,10 +19,10 @@ from enum import Enum
 from functools import cache, partial, reduce
 from itertools import product
 from operator import or_
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .activity import Description, binding_classes, validate_and_compile
-from .allen import ConcreteInterval, ConstraintNetwork, relation_rows
+from .activity import Description, EventTypeRef, _slot_refs, binding_classes, validate_and_compile
+from .allen import ConcreteInterval, relation_rows
 from .errors import DanglingReference, DegenerateInterval, NegativeDuration, ValidationFailed
 from .grounding import Scene, admits
 from .ontology import EVENT_CONCEPT_KINDS, OntologyStore
@@ -196,12 +196,12 @@ _RoleClass = Tuple[Tuple[str, ...], FrozenSet[Tuple[str, str]]]  # (phase ids, s
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A plan or process flow as the search reads it: its propagated network,
-    `masks[j][k]` the label from phase j to phase k as a 13-bit mask, and
-    its role classes."""
+    """A plan or process flow as every question about an episode reads it:
+    `masks[i][j]` the propagated label from slot i to slot j as a 13-bit
+    mask, the slots in `_slot_refs` order (the defined event, if any, then
+    the phases), and its role classes."""
 
     description: Description
-    network: ConstraintNetwork
     masks: _Masks
     classes: Tuple[_RoleClass, ...]
 
@@ -209,9 +209,10 @@ class CompiledPlan:
 class CompiledLibrary(tuple):
     """The descriptions of a library, in order, validated against a store and
     compiled once: `compiled[i]` is `self[i]` compiled from the network its
-    validation propagated. Building one is the only way to compile, so any
-    issue raises one ValidationFailed listing `issues`, then each duplicate
-    id and validation issue of a description, prefixed `description <id>:`."""
+    validation propagated, which is then dropped. Building one is the only
+    way to compile, so any issue raises one ValidationFailed listing
+    `issues`, then each duplicate id and validation issue of a description,
+    prefixed `description <id>:`."""
 
     compiled: Tuple[CompiledPlan, ...]
 
@@ -223,22 +224,31 @@ class CompiledLibrary(tuple):
     ):
         self = super().__new__(cls, descriptions)
         issues = list(issues)
-        seen_ids: Set[str] = set()
-        networks = []
+        plans: Dict[str, Optional[CompiledPlan]] = {}
         for d in self:
-            if d.id in seen_ids:
+            if d.id in plans:
                 issues.append(f"description {d.id}: duplicate-description: id is used more than once")
-            seen_ids.add(d.id)
             d_issues, net = validate_and_compile(d, store)
             issues += (f"description {d.id}: {issue}" for issue in d_issues)
-            networks.append(net)
+            plans[d.id] = None if net is None else CompiledPlan(d, net.masks(), _role_classes(d))
         if issues:
             raise ValidationFailed(issues)
-        self.compiled = tuple(
-            CompiledPlan(d, net, net.masks([p.id for p in d.phases]), _role_classes(d))
-            for d, net in zip(self, networks)
-        )
+        self._plans = plans
+        self._store = store
+        self.compiled = tuple(plans.values())
         return self
+
+    def plan(self, id: str) -> Optional[CompiledPlan]:
+        """The compiled description `id`, or None when the library has none."""
+        return self._plans.get(id)
+
+    def slots(self, name: str) -> Iterator[Tuple[CompiledPlan, int, EventTypeRef]]:
+        """Every slot whose id or concept name is `name`, in library order and
+        then `_slot_refs` order, as (plan, its row in `plan.masks`, slot)."""
+        for plan in self.compiled:
+            for i, ref in enumerate(_slot_refs(plan.description)):
+                if ref.id == name or self._store.concept(ref.concept).name == name:
+                    yield plan, i, ref
 
 
 def _compile(library: Sequence[Description], store: OntologyStore) -> CompiledLibrary:
@@ -352,8 +362,10 @@ def _interpretations(
     for each phase from k on: those whose type fits the phase and that no
     assignment so far excludes. Assigning a token to phase k forward checks
     every later phase m: it keeps only the positions other than the token's
-    that the token's row of `masks[k][m]` allows, and an emptied domain
-    prunes the branch. Tokens are tried in episode order."""
+    that the token's row of the label from phase k to phase m allows, and
+    an emptied domain prunes the branch. Tokens are tried in episode order.
+    The phases' rows and columns of `plan.masks` follow the defined slot's,
+    if any."""
     d = plan.description
     k = len(assigned)
     if not domains:
@@ -361,14 +373,15 @@ def _interpretations(
         for roles in _role_assignments(plan.classes, grounding, admitted):
             yield _make_interpretation(d, grounding, roles, episode)
         return
-    labels = plan.masks[k]
+    at = len(plan.masks) - len(d.phases) + k  # the row of phase k
+    labels = plan.masks[at]
     domain, *later = domains
     while domain:
         bit = domain & -domain
         domain ^= bit
         pos = bit.bit_length() - 1
         narrowed: List[int] = []
-        for m, dom in enumerate(later, k + 1):
+        for m, dom in enumerate(later, at + 1):
             dom &= ~bit & allowed(pos, labels[m])
             if not dom:
                 break
@@ -411,11 +424,9 @@ def verify_interpretation(
     search, forward checking as `parse` does, yields the interpretation's
     phase and role groundings, order aside and each entry once; coverage and
     earliest start are not checked."""
-    library = _compile(library, store)
-    by_id = dict(zip((d.id for d in library), library.compiled))
-    if interp.plan not in by_id:
+    plan = _compile(library, store).plan(interp.plan)
+    if plan is None:
         raise DanglingReference(f"unknown plan: {interp.plan}")
-    plan = by_id[interp.plan]
     if not plan.description.phases:
         raise DanglingReference(f"description {interp.plan} has no parseable phases")
     d = plan.description

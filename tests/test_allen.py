@@ -325,15 +325,17 @@ class TestConstraintNetwork:
         with pytest.raises(StaleNetwork):
             net.query_relation("A", "B")
         with pytest.raises(StaleNetwork):
-            net.masks(["A", "B"])
+            net.masks()
 
     def test_masks_match_queries(self):
         net = ConstraintNetwork()
         net.constrain("A", "B", rs("b m"))
         net.constrain("B", "C", rs("o"))
+        net.add_variable("D")
         assert net.propagate().consistent
-        order = ["C", "A", "B", "A"]
-        assert net.masks(order) == tuple(
+        order = net.variables
+        assert order == ("A", "B", "C", "D")
+        assert net.masks() == tuple(
             tuple(net.query_relation(a, b).mask for b in order) for a in order
         )
 

@@ -1262,10 +1262,25 @@ class TestCli:
         assert out.strip() == "o"
 
     def test_query_unknown_phase_exit_2(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "query", str(SEED_LIBRARY), "PouringPlan", "Approaching", "Flying"
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: unknown phase 'Flying'\n"
+
+    def test_query_phase_of_another_plan_exit_2(self, capsys):
+        """A slot is looked up within the named plan only: Approaching_1 is a
+        phase of StirringFlow, not of MixingFlow."""
+        code, out, err = run_cli(
+            capsys, "query", str(ALL_DESCRIPTIONS_LIBRARY), "MixingFlow", "Rotating_0", "Approaching_1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown phase 'Approaching_1'\n"
+
+    @pytest.mark.parametrize("names", [("Tilting", "Tilting"), ("Tilting_0", "Tilting")])
+    def test_query_slot_against_itself_is_eq(self, capsys, names):
+        code, out, _ = run_cli(capsys, "query", str(SEED_LIBRARY), "PouringPlan", *names)
+        assert (code, out) == (0, "eq\n")
 
     def test_query_ambiguous_phase_exit_2(self, capsys, tmp_path):
         doc = json.loads(SEED_LIBRARY.read_text())
@@ -1294,6 +1309,32 @@ class TestCli:
         assert code == 0
         assert "Source: {bowl pot}" in out
         assert "Patient: {bowl knife pot}" in out
+
+    def test_select_unknown_task_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "select", str(SEED_LIBRARY), str(POURING_EPISODE), "Nope"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown task 'Nope'\n"
+
+    @pytest.mark.parametrize(
+        "task, expected",
+        [
+            # Rotating_0 of MixingFlow, not Rotating_1 of StirringFlow.
+            ("Rotating", "Stirrer: {knife}\n"),
+            # Tilting_0 of PouringPlan, not Tilting_1 of MixingFlow, which
+            # also takes a Container.
+            ("Tilting", "Patient: {bowl knife pot}\n"),
+            # Approaching_0 of PouringPlan, not Approaching_1 of
+            # StirringFlow, which takes a Container.
+            ("Approaching", "Destination: {bowl pot}\n"),
+        ],
+    )
+    def test_select_shared_concept_takes_first_plan_in_file_order(self, capsys, task, expected):
+        code, out, _ = run_cli(
+            capsys, "select", str(ALL_DESCRIPTIONS_LIBRARY), str(POURING_EPISODE), task
+        )
+        assert (code, out) == (0, expected)
 
     def test_force_rows(self, capsys):
         code, out, _ = run_cli(capsys, "force", "--tendency", "rest", "--stronger", "antagonist")

@@ -20,11 +20,13 @@ qualities with and without a value or units and repeated dispositions; its
 canonical serialization is pinned in `scene_episode_canonical.json`, and
 `select_scene.out` selects its objects for roles of `scene_library.json`
 restricted by a disposition, by a quality region and by both.
+`demo_parse_pouring.out` pins the stdout of `scripts/parse_pouring.py`.
 """
 
 import json
 import pathlib
 import random
+import runpy
 
 import pytest
 
@@ -44,6 +46,7 @@ from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from generators import random_raw_events
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+DEMO_SCRIPT = GOLDEN.parent.parent / "scripts" / "parse_pouring.py"
 INCONSISTENT_LIBRARY = GOLDEN / "inconsistent_library.json"
 ALL_DESCRIPTIONS_LIBRARY = GOLDEN / "all_descriptions_library.json"
 
@@ -63,6 +66,11 @@ CASES = {
     "parse_pouring_machine": (("parse", LIB, POUR, "--format", "machine"), 0),
     "parse_ambiguous": (("parse", LIB, AMB), 0),
     "parse_ambiguous_machine": (("parse", LIB, AMB, "--format", "machine"), 0),
+    "parse_pouring_top0": (("parse", LIB, POUR, "--top", "0"), 0),
+    "parse_ambiguous_top1": (("parse", LIB, AMB, "--top", "1"), 0),
+    "parse_pouring_eps": (("parse", LIB, POUR, "--eps", "0.5"), 0),
+    # Starts 2 apart compare equal: Approaching no longer overlaps Tilting.
+    "parse_pouring_eps_wide": (("parse", LIB, POUR, "--eps", "2"), 0),
     "query_approaching_tilting": (("query", LIB, "PouringPlan", "Approaching", "Tilting"), 0),
     "query_tilting_pouring": (("query", LIB, "PouringPlan", "Tilting", "Pouring_0"), 0),
     "select_pouring": (("select", LIB, POUR, "Pouring"), 0),
@@ -93,6 +101,11 @@ def test_golden_stdout(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_golden_demo_script(capsys):
+    runpy.run_path(str(DEMO_SCRIPT), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "demo_parse_pouring.out").read_text()
 
 
 def test_golden_state_episode_tokens():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import pathlib
 import random
 import weakref
 from itertools import permutations
@@ -56,6 +57,10 @@ from generators import (
 )
 from conftest import AMBIGUOUS_EPISODE, POURING_EPISODE, SEED_LIBRARY
 from oracles import parse_oracle, tokenize_oracle, type_matches_oracle
+
+ALL_DESCRIPTIONS_LIBRARY = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "all_descriptions_library.json"
+)
 
 
 def interp_key(i: Interpretation):
@@ -467,6 +472,20 @@ class TestCompileOnce:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "o\n"
         assert compiled == plans * 2  # the query's own load; the query compiles nothing
+
+    def test_masks_cover_every_slot_in_slot_order(self):
+        """Row and column i of `masks` are slot i of `_slot_refs`: the defined
+        event, if any, then the phases, for each kind of description."""
+        store, library = load_library(ALL_DESCRIPTIONS_LIBRARY)
+        assert any(d.defines is None for d in library)
+        for d, plan in zip(library, library.compiled):
+            assert library.plan(d.id) is plan and plan.description is d
+            net = activity.compile_constraints(d)
+            ids = [ref.id for ref in activity._slot_refs(d)]
+            assert plan.masks == tuple(
+                tuple(net.query_relation(a, b).mask for b in ids) for a in ids
+            )
+        assert library.plan("NoSuchPlan") is None
 
     def test_loaded_library_and_plain_list_agree(self, seed, ambiguous_episode, pouring_episode):
         store, library = seed
