@@ -453,12 +453,3 @@ class ConstraintNetwork:
         # From lists, not generators: with tuple() over generators, 500 loads
         # of a 4-plan library left peak RSS about 1 MB higher (CPython 3.11).
         return tuple([tuple(row) for row in self._labels])
-
-    def snapshot(self) -> Dict[Tuple[str, str], RelationSet]:
-        """Labels of all pairs in insertion order, for equality comparisons."""
-        names = self.variables
-        return {
-            (names[i], names[j]): RelationSet(self._labels[i][j])
-            for i in range(len(names))
-            for j in range(i + 1, len(names))
-        }

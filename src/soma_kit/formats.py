@@ -173,9 +173,18 @@ def _strings(node: dict, key: str, where: str, required: bool = False) -> Tuple[
 # --- restrictions --------------------------------------------------------------
 
 
-def restriction_from_json(node: dict, at: str = "restriction") -> Restriction:
-    """Restriction of a JSON object; an unknown op, or a field it needs that
-    is missing or mistyped, is a ParseError naming `at`."""
+#: The most levels a restriction may nest: a leaf op is one level, and each
+#: `and` or `or` around it adds one. Restrictions are read, evaluated and
+#: written by recursion, so a bound far below the interpreter's recursion
+#: limit keeps every loaded library answerable. No shipped document nests
+#: more than 2.
+MAX_RESTRICTION_DEPTH = 64
+
+
+def restriction_from_json(node: dict, at: str = "restriction", depth: int = 1) -> Restriction:
+    """Restriction of a JSON object at nesting level `depth`; an unknown op,
+    a field it needs that is missing or mistyped, or an `and` or `or` at
+    level MAX_RESTRICTION_DEPTH is a ParseError naming `at`."""
     if not isinstance(node, dict):
         raise ParseError(f"{at}: expected an object, got {node!r}")
     op = node.get("op")
@@ -196,10 +205,12 @@ def restriction_from_json(node: dict, at: str = "restriction") -> Restriction:
             _required(node, "units", at),
         )
     if op in ("and", "or"):
+        if depth == MAX_RESTRICTION_DEPTH:
+            raise ParseError(f"{at}: nested deeper than {MAX_RESTRICTION_DEPTH} levels")
         items = _records(node, "items", at, required=True)
         if not items:
             raise ParseError(f"{at}: items: expected at least one restriction")
-        items = tuple(restriction_from_json(i, i_at) for i_at, i in items)
+        items = tuple(restriction_from_json(i, i_at, depth + 1) for i_at, i in items)
         return And(items) if op == "and" else Or(items)
     raise ParseError(f"{at}: unknown restriction op: {op!r}")
 

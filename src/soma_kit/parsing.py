@@ -2,13 +2,15 @@
 libraries against the token stream, emitting every constraint-consistent
 interpretation.
 
-The parser is a phase-ordered backtracking search over int bitsets of
-token positions. Concept subsumption gives each phase its candidates; each
-time a phase takes a token, forward checking on the propagated temporal
-labels narrows every later phase's candidates to the tokens whose observed
-relation to it the label allows, read from whole relation rows
-(`allen.relation_rows`). Its contract is defined by exhaustive enumeration
-of injective phase-to-token assignments.
+The parser is one phase-ordered backtracking search over int bitsets of
+token positions, `_search`. Concept subsumption gives each phase its
+candidates; each time a phase takes a token, forward checking on the
+propagated temporal labels narrows every later phase's candidates to the
+tokens whose observed relation to it the label allows, read from whole
+relation rows (`allen.relation_rows`). `parse` ranks what it yields;
+`verify_interpretation` runs it over the tokens an interpretation grounds.
+Its contract is defined by exhaustive enumeration of injective
+phase-to-token assignments.
 """
 
 from __future__ import annotations
@@ -297,48 +299,48 @@ def parse(
     episode: Episode, library: Sequence[Description], store: OntologyStore
 ) -> List[Interpretation]:
     """Every interpretation of the episode under the plan library, ranked."""
+    return rank(list(_search(episode, _compile(library, store).compiled, store)))
+
+
+def _search(
+    episode: Episode, plans: Iterable[CompiledPlan], store: OntologyStore
+) -> Iterator[Interpretation]:
+    """Every interpretation of the episode under `plans`, in plan order and
+    then search order: the one search behind `parse` and
+    `verify_interpretation`. `allowed(a, mask)` is the bitset of positions b
+    such that token a stands to token b in a relation of the 13-bit `mask`.
+    Only a phase after a plan's first has its domain narrowed, so the rows
+    span only the positions that fit such a phase; token a's rows are read
+    once, when first asked for, and kept as (relation bit, positions) for
+    the nonempty ones. A token that collapses under eps, a widened point,
+    anchors no temporal label: it is in no row, and its own rows are empty.
+    """
     tokens = episode.tokens
     # Each question below is answered once per call, never across calls: the
     # store may be unfrozen and change between them, and episodes differ.
-    event_types = cache(partial(_event_types, store=store))
+    event_types = {tag: _event_types(tag, store) for tag in {t.type_tag for t in tokens}}
     admitted = cache(partial(admits, scene=episode.scene, store=store))
 
     @cache
     def fitting(concept: str) -> int:
         """Bitset of the positions of the tokens a phase of `concept` fits."""
         cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
-        return sum(1 << pos for pos, t in enumerate(tokens) if cid in event_types(t.type_tag))
+        return sum(1 << pos for pos, t in enumerate(tokens) if cid in event_types[t.type_tag])
 
     searches: List[Tuple[CompiledPlan, List[int]]] = []
-    for plan in _compile(library, store).compiled:
+    for plan in plans:
         domains = [fitting(p.concept) for p in plan.description.phases]
         if domains and all(domains):  # a phase no token fits matches nothing
             searches.append((plan, domains))
     later = reduce(or_, (dom for _, domains in searches for dom in domains[1:]), 0)
-    allowed = _relation_filter(tokens, episode.eps, later)
-    found: List[Interpretation] = []
-    for plan, domains in searches:
-        found += _interpretations(plan, domains, episode, allowed, admitted, [])
-    return rank(found)
-
-
-def _relation_filter(tokens: Sequence[Token], eps: float, fit: int) -> Callable[[int, int], int]:
-    """`allowed(a, mask)`: the bitset of the positions b in `fit` such that
-    token a stands to token b in a relation of the 13-bit `mask`. Only a
-    phase after a plan's first has its domain narrowed, so `fit` need only
-    hold the positions that fit such a phase. Token a's relation rows are
-    read once, when first asked for, and kept as (relation bit, positions)
-    for the nonempty ones. A token that collapses under eps, a widened
-    point, anchors no temporal label: it is in no row, and its own rows are
-    empty."""
     spans = [
-        (pos, t.interval.start, t.interval.end) for pos, t in enumerate(tokens) if fit >> pos & 1
+        (pos, t.interval.start, t.interval.end) for pos, t in enumerate(tokens) if later >> pos & 1
     ]
     rows: Dict[int, List[Tuple[int, int]]] = {}
 
     def allowed(a: int, mask: int) -> int:
         if a not in rows:
-            row = relation_rows(tokens[a].interval, spans, eps)
+            row = relation_rows(tokens[a].interval, spans, episode.eps)
             rows[a] = [(1 << p, positions) for p, positions in enumerate(row) if positions]
         found = 0
         for rel, positions in rows[a]:
@@ -346,65 +348,44 @@ def _relation_filter(tokens: Sequence[Token], eps: float, fit: int) -> Callable[
                 found |= positions
         return found
 
-    return allowed
+    def extend(plan: CompiledPlan, domains: Sequence[int], assigned: List[int]):
+        """Every interpretation that extends `assigned`, the token positions
+        of the first k phases, injectively. `domains` holds the positions
+        still open to each phase from k on. Assigning a token to phase k
+        keeps in each later phase m's domain only the other positions that
+        the token's row of the label from k to m allows; an emptied domain
+        prunes the branch. Tokens are tried in episode order, and the
+        phases' rows of `plan.masks` follow the defined slot's, if any."""
+        d = plan.description
+        k = len(assigned)
+        if not domains:
+            grounding = {d.phases[j].id: tokens[pos] for j, pos in enumerate(assigned)}
+            phase_grounding = tuple(sorted((pid, t.id) for pid, t in grounding.items()))
+            start = min(t.interval.start for t in grounding.values())
+            for roles in _role_assignments(plan.classes, grounding, admitted):
+                role_grounding = tuple(sorted(roles.items()))
+                yield Interpretation(d.id, phase_grounding, role_grounding, k / len(tokens), start)
+            return
+        at = len(plan.masks) - len(d.phases) + k  # the row of phase k
+        labels = plan.masks[at]
+        domain, *rest = domains
+        while domain:
+            bit = domain & -domain
+            domain ^= bit
+            pos = bit.bit_length() - 1
+            narrowed: List[int] = []
+            for m, dom in enumerate(rest, at + 1):
+                dom &= ~bit & allowed(pos, labels[m])
+                if not dom:
+                    break
+                narrowed.append(dom)
+            else:
+                assigned.append(pos)
+                yield from extend(plan, narrowed, assigned)
+                assigned.pop()
 
-
-def _interpretations(
-    plan: CompiledPlan,
-    domains: Sequence[int],
-    episode: Episode,
-    allowed: Callable[[int, int], int],
-    admitted: Callable[[str, str], bool],
-    assigned: List[int],
-) -> Iterable[Interpretation]:
-    """Every interpretation that extends `assigned`, the token positions of
-    the first k phases, injectively. `domains` holds a bitset of positions
-    for each phase from k on: those whose type fits the phase and that no
-    assignment so far excludes. Assigning a token to phase k forward checks
-    every later phase m: it keeps only the positions other than the token's
-    that the token's row of the label from phase k to phase m allows, and
-    an emptied domain prunes the branch. Tokens are tried in episode order.
-    The phases' rows and columns of `plan.masks` follow the defined slot's,
-    if any."""
-    d = plan.description
-    k = len(assigned)
-    if not domains:
-        grounding = {d.phases[j].id: episode.tokens[pos] for j, pos in enumerate(assigned)}
-        for roles in _role_assignments(plan.classes, grounding, admitted):
-            yield _make_interpretation(d, grounding, roles, episode)
-        return
-    at = len(plan.masks) - len(d.phases) + k  # the row of phase k
-    labels = plan.masks[at]
-    domain, *later = domains
-    while domain:
-        bit = domain & -domain
-        domain ^= bit
-        pos = bit.bit_length() - 1
-        narrowed: List[int] = []
-        for m, dom in enumerate(later, at + 1):
-            dom &= ~bit & allowed(pos, labels[m])
-            if not dom:
-                break
-            narrowed.append(dom)
-        else:
-            assigned.append(pos)
-            yield from _interpretations(plan, narrowed, episode, allowed, admitted, assigned)
-            assigned.pop()
-
-
-def _make_interpretation(
-    d: Description,
-    assigned: Dict[str, Token],
-    roles: Dict[Tuple[str, str], str],
-    episode: Episode,
-) -> Interpretation:
-    return Interpretation(
-        plan=d.id,
-        phase_grounding=tuple(sorted((pid, t.id) for pid, t in assigned.items())),
-        role_grounding=tuple(sorted(roles.items())),
-        coverage=len(assigned) / len(episode.tokens),
-        earliest_start=min(t.interval.start for t in assigned.values()),
-    )
+    for plan, domains in searches:
+        yield from extend(plan, domains, [])
 
 
 def rank(interps: Sequence[Interpretation]) -> List[Interpretation]:
@@ -419,37 +400,27 @@ def verify_interpretation(
     library: Sequence[Description],
     store: OntologyStore,
 ) -> bool:
-    """Re-derivation through the parser's own search: with each phase's
-    domain the one token it grounds (empty when the types do not match), the
-    search, forward checking as `parse` does, yields the interpretation's
-    phase and role groundings, order aside and each entry once; coverage and
-    earliest start are not checked."""
+    """Whether `_search` over the tokens the interpretation grounds, in
+    episode order, yields its phase and role groundings, order aside and
+    each entry once; coverage and earliest start are not checked. Two
+    tokens' relation depends only on their intervals and eps, so this holds
+    iff the search over the whole episode yields them."""
     plan = _compile(library, store).plan(interp.plan)
     if plan is None:
         raise DanglingReference(f"unknown plan: {interp.plan}")
     if not plan.description.phases:
         raise DanglingReference(f"description {interp.plan} has no parseable phases")
-    d = plan.description
-    phase_ids = {p.id for p in d.phases}
-    positions = {t.id: pos for pos, t in enumerate(episode.tokens)}
-    grounding: Dict[str, int] = {}  # phase id -> token position
+    phase_ids = {p.id for p in plan.description.phases}
+    grounded = {tid for _, tid in interp.phase_grounding}
+    tokens = tuple(t for t in episode.tokens if t.id in grounded)
+    found = {t.id for t in tokens}
     for pid, tid in interp.phase_grounding:
         if pid not in phase_ids:
             raise DanglingReference(f"unknown phase: {pid}")
-        if tid not in positions:
+        if tid not in found:
             raise DanglingReference(f"unknown token: {tid}")
-        grounding[pid] = positions[tid]
-    domains = [
-        1 << pos
-        if (pos := grounding.get(p.id)) is not None
-        and store.concept(p.concept).id in _event_types(episode.tokens[pos].type_tag, store)
-        else 0
-        for p in d.phases
-    ]
-    allowed = _relation_filter(episode.tokens, episode.eps, reduce(or_, domains[1:], 0))
-    admitted = partial(admits, scene=episode.scene, store=store)
     groundings = (tuple(sorted(interp.phase_grounding)), tuple(sorted(interp.role_grounding)))
     return any(
         (i.phase_grounding, i.role_grounding) == groundings
-        for i in _interpretations(plan, domains, episode, allowed, admitted, [])
+        for i in _search(Episode(episode.id, tokens, episode.scene, episode.eps), (plan,), store)
     )

@@ -208,8 +208,8 @@ class TestCompilation:
             compile_constraints(flow)
 
     def test_deterministic(self):
-        a = compile_constraints(pouring_plan()).snapshot()
-        b = compile_constraints(pouring_plan()).snapshot()
+        a = compile_constraints(pouring_plan()).masks()
+        b = compile_constraints(pouring_plan()).masks()
         assert a == b
 
 

@@ -412,9 +412,9 @@ class TestConstraintNetwork:
                         net.constrain(names[i], names[j], label)
             if not net.propagate().consistent:
                 continue
-            first = net.snapshot()
+            first = net.masks()
             assert net.propagate().consistent
-            assert net.snapshot() == first
+            assert net.masks() == first
 
     def test_labels_converse_closed_in_both_orientations(self):
         def assert_converse_closed(net, names):

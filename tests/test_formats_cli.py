@@ -30,6 +30,7 @@ from soma_kit.errors import (
     VersionMismatch,
 )
 from soma_kit.formats import (
+    MAX_RESTRICTION_DEPTH,
     _add_concepts,
     _description_from_json,
     _event_times,
@@ -924,6 +925,47 @@ class TestCli:
         code, out, _ = run_cli(capsys, "validate", str(SEED_LIBRARY))
         assert code == 0
         assert "ok" in out
+
+    @staticmethod
+    def nested_source_library(tmp_path, levels):
+        """The seed library with the `Source` role's restriction, one
+        `has_disposition` level, wrapped in `and`s to `levels` levels."""
+        doc = json.loads(SEED_LIBRARY.read_text())
+        (at, record), = [
+            (f"concept {i}", c) for i, c in enumerate(doc["concepts"]) if c["id"] == "Source"
+        ]
+        for _ in range(levels - 1):
+            record["restriction"] = {"op": "and", "items": [record["restriction"]]}
+        path = tmp_path / f"nested{levels}.json"
+        path.write_text(json.dumps(doc))
+        return at, path
+
+    COMMANDS = (
+        ("validate",),
+        ("parse", str(POURING_EPISODE)),
+        ("select", str(POURING_EPISODE), "Pouring"),
+    )
+
+    # 351 levels still load as JSON, and without the bound they overflow the
+    # recursion of `satisfies_restriction` in `parse` and `select`.
+    @pytest.mark.parametrize("levels", [MAX_RESTRICTION_DEPTH + 1, 351])
+    def test_restriction_nested_past_the_bound_exit_2(self, capsys, tmp_path, levels):
+        at, path = self.nested_source_library(tmp_path, levels)
+        for cmd, *rest in self.COMMANDS:
+            code, out, err = run_cli(capsys, cmd, str(path), *rest)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {at}: restriction: item 0: ")
+            assert f"nested deeper than {MAX_RESTRICTION_DEPTH} levels" in err
+
+    def test_restriction_nested_to_the_bound_loads(self, capsys, tmp_path):
+        _, path = self.nested_source_library(tmp_path, MAX_RESTRICTION_DEPTH)
+        for cmd, *rest in self.COMMANDS:
+            seed_answer = run_cli(capsys, cmd, str(SEED_LIBRARY), *rest)
+            assert seed_answer[0] == 0
+            assert run_cli(capsys, cmd, str(path), *rest) == seed_answer
+        doc1 = serialize_library(*load_library(path))
+        doc2 = serialize_library(*load_library_document(doc1))
+        assert dumps_canonical(doc1) == dumps_canonical(doc2)
 
     def test_process_flow_with_empty_plan_fields_is_valid(self, capsys, tmp_path):
         doc = json.loads(SEED_LIBRARY.read_text())

@@ -886,6 +886,25 @@ class TestVerify:
                 (plan, phases, roles) in expected
             )
 
+    @settings(max_examples=30, deadline=None)
+    @given(oracle_cases())
+    def test_matches_oracle_over_every_phase_map(self, case):
+        """Every injective phase-to-token map of each plan, with the role
+        groundings of that plan's oracle answers and with none, verifies iff
+        the oracle has it."""
+        store, library, episode = case
+        expected = parse_oracle(episode, library, store)
+        compiled = parsing.CompiledLibrary(library, store)
+        for d in library:
+            role_groundings = {roles for plan, _, roles in expected if plan == d.id} | {()}
+            for tokens in permutations(episode.tokens, len(d.phases)):
+                phases = tuple(sorted((p.id, t.id) for p, t in zip(d.phases, tokens)))
+                for roles in role_groundings:
+                    interp = Interpretation(d.id, phases, roles, 0.0, 0.0)
+                    assert verify_interpretation(interp, episode, compiled, store) == (
+                        (d.id, phases, roles) in expected
+                    )
+
     def test_dangling_plan(self, seed, pouring_episode):
         store, library = seed
         ghost = Interpretation("NoSuchPlan", (), (), 0.0, 0.0)
