@@ -375,7 +375,7 @@ class ConstraintNetwork:
         such pairs only; for each, every variable k in order tightens (i, k)
         and then (k, j). Inconsistency (an empty label) is a return value,
         not an exception; its witness is the first pair in queue order whose
-        label was constrained empty, else the pair that emptied.
+        label was constrained empty, else the (i, k) that emptied.
 
         The compositions are `_compose_mask` inlined: the pair-table rows of
         rij, and of its converse rji, are fetched once per popped pair, and
@@ -384,7 +384,10 @@ class ConstraintNetwork:
         labels as they were before either update at this k. Two tests are
         left out as no-ops: k in (i, j), since eq composes as the identity
         and every rij composed with rji holds eq; and a full rij, since it
-        composes to the full label with every nonempty one.
+        composes to the full label with every nonempty one. Nor can the
+        (j, k) update empty a label once (i, k) kept some a in rik, from b
+        in rij and c in rjk: by the cycle law c is in b's converse, in rji,
+        composed with a, so c stays.
         """
         labels = self._labels
         n = len(labels)
@@ -423,8 +426,6 @@ class ConstraintNetwork:
                         queue.append(key)
                         in_queue.add(key)
                 if jk != rjk:
-                    if not jk:
-                        return self._inconsistent(k, j)
                     row_j[k] = jk
                     labels[k][j] = conv_low[jk & 0x7F] | conv_high[jk >> 7]
                     key = (j, k) if j < k else (k, j)

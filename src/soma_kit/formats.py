@@ -184,7 +184,8 @@ MAX_RESTRICTION_DEPTH = 64
 def restriction_from_json(node: dict, at: str = "restriction", depth: int = 1) -> Restriction:
     """Restriction of a JSON object at nesting level `depth`; an unknown op,
     a field it needs that is missing or mistyped, or an `and` or `or` at
-    level MAX_RESTRICTION_DEPTH is a ParseError naming `at`."""
+    level MAX_RESTRICTION_DEPTH (named by its outermost restriction) is a
+    ParseError naming `at`."""
     if not isinstance(node, dict):
         raise ParseError(f"{at}: expected an object, got {node!r}")
     op = node.get("op")
@@ -205,8 +206,9 @@ def restriction_from_json(node: dict, at: str = "restriction", depth: int = 1) -
             _required(node, "units", at),
         )
     if op in ("and", "or"):
-        if depth == MAX_RESTRICTION_DEPTH:
-            raise ParseError(f"{at}: nested deeper than {MAX_RESTRICTION_DEPTH} levels")
+        if depth == MAX_RESTRICTION_DEPTH:  # named without the `item k` steps down to it
+            root = at.rsplit(": item ", depth - 1)[0]
+            raise ParseError(f"{root}: nested deeper than {depth} levels")
         items = _records(node, "items", at, required=True)
         if not items:
             raise ParseError(f"{at}: items: expected at least one restriction")

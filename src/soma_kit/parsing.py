@@ -2,12 +2,13 @@
 libraries against the token stream, emitting every constraint-consistent
 interpretation.
 
-The parser is one phase-ordered backtracking search over int bitsets of
-token positions, `_search`. Concept subsumption gives each phase its
-candidates; each time a phase takes a token, forward checking on the
-propagated temporal labels narrows every later phase's candidates to the
-tokens whose observed relation to it the label allows, read from whole
-relation rows (`allen.relation_rows`). `parse` ranks what it yields;
+The parser is one phase-ordered backtracking search, `_search`, over int
+bitsets: of token positions for each phase, of scene objects for each role
+class. Each time a phase takes a token, forward checking narrows each class
+of that phase to the token's participants, and every later phase's
+candidates to the tokens whose observed relation to it the propagated
+temporal label allows, read from whole relation rows
+(`allen.relation_rows`). `parse` ranks what it yields;
 `verify_interpretation` runs it over the tokens an interpretation grounds.
 Its contract is defined by exhaustive enumeration of injective
 phase-to-token assignments.
@@ -18,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import product
-from operator import or_
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import and_, or_
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .activity import Description, EventTypeRef, _slot_refs, binding_classes, validate_and_compile
 from .allen import ConcreteInterval, relation_rows
@@ -193,7 +194,7 @@ def _event_types(tag: str, store: OntologyStore) -> FrozenSet[str]:
 
 
 _Masks = Tuple[Tuple[int, ...], ...]
-_RoleClass = Tuple[Tuple[str, ...], FrozenSet[Tuple[str, str]]]  # (phase ids, slots)
+_RoleClass = Tuple[int, FrozenSet[Tuple[str, str]]]  # (bit k per phase k, slots)
 
 
 @dataclass(frozen=True)
@@ -258,41 +259,17 @@ def _compile(library: Sequence[Description], store: OntologyStore) -> CompiledLi
 
 
 def _role_classes(d: Description) -> Tuple[_RoleClass, ...]:
-    """The slot sets that ground to one entity taken from the tokens: each
-    binding class that holds a phase role slot, and each unbound phase role
-    slot alone, with the phases whose tokens must all hold that entity."""
-    phase_slots = [(p.id, rid) for p in d.phases for rid in p.uses_roles]
-    classes = binding_classes(d)
-    classes += [
-        frozenset({s}) for s in dict.fromkeys(phase_slots) if not any(s in c for c in classes)
-    ]
-    return tuple(
-        (tuple(dict.fromkeys(pid for pid, rid in phase_slots if (pid, rid) in c)), c)
-        for c in classes
-        if not c.isdisjoint(phase_slots)
-    )
-
-
-def _role_assignments(
-    classes: Sequence[_RoleClass],
-    phase_grounding: Dict[str, Token],
-    admitted: Callable[[str, str], bool],
-) -> List[Dict[Tuple[str, str], str]]:
-    """All role groundings compatible with the token participants, the plan's
-    bindings, and the roles' selectional restrictions: one entity per class,
-    a participant of each of its phases' tokens that each of its slots'
-    concepts admits, given to every slot of the class."""
-    choices: List[List[str]] = []
-    for phases, slots in classes:
-        first, *rest = (phase_grounding[pid].participants for pid in phases)
-        choices.append([
-            e for e in dict.fromkeys(first)
-            if all(e in r for r in rest) and all(admitted(rid, e) for _, rid in slots)
-        ])
-    return [
-        {s: e for (_, slots), e in zip(classes, combo) for s in slots}
-        for combo in product(*choices)
-    ]
+    """The slot sets that ground to one entity taken from the tokens, in
+    order of their first phase role slot: each binding class that holds a
+    phase role slot, and each unbound one alone, with the bitset of the
+    indices of the phases whose tokens must all hold that entity."""
+    bound = {s: c for c in binding_classes(d) for s in c}
+    classes: Dict[FrozenSet[Tuple[str, str]], int] = {}
+    for k, p in enumerate(d.phases):
+        for slot in ((p.id, rid) for rid in p.uses_roles):
+            c = bound.get(slot, frozenset({slot}))
+            classes[c] = classes.get(c, 0) | 1 << k
+    return tuple((phases, slots) for slots, phases in classes.items())
 
 
 def parse(
@@ -314,12 +291,15 @@ def _search(
     once, when first asked for, and kept as (relation bit, positions) for
     the nonempty ones. A token that collapses under eps, a widened point,
     anchors no temporal label: it is in no row, and its own rows are empty.
+    Scene objects are bits in scene order, `holds[a]` token a's
+    participants; a role class starts with the objects all its roles admit.
     """
     tokens = episode.tokens
     # Each question below is answered once per call, never across calls: the
     # store may be unfrozen and change between them, and episodes differ.
     event_types = {tag: _event_types(tag, store) for tag in {t.type_tag for t in tokens}}
-    admitted = cache(partial(admits, scene=episode.scene, store=store))
+    bits = {e: 1 << n for n, e in enumerate(episode.scene.objects)}
+    holds = [reduce(or_, (bits.get(e, 0) for e in t.participants), 0) for t in tokens]
 
     @cache
     def fitting(concept: str) -> int:
@@ -327,12 +307,20 @@ def _search(
         cid = store.concept(concept).id  # raises UnknownId for a concept not in the store
         return sum(1 << pos for pos, t in enumerate(tokens) if cid in event_types[t.type_tag])
 
-    searches: List[Tuple[CompiledPlan, List[int]]] = []
+    @cache
+    def admitting(role: str) -> int:
+        """Bitset of the scene objects Role `role` admits."""
+        return sum(b for e, b in bits.items() if admits(role, e, episode.scene, store))
+
+    searches: List[Tuple[CompiledPlan, List[int], List[int]]] = []
     for plan in plans:
         domains = [fitting(p.concept) for p in plan.description.phases]
-        if domains and all(domains):  # a phase no token fits matches nothing
-            searches.append((plan, domains))
-    later = reduce(or_, (dom for _, domains in searches for dom in domains[1:]), 0)
+        if not (domains and all(domains)):  # a phase no token fits matches nothing
+            continue
+        roles = [reduce(and_, (admitting(rid) for _, rid in slots)) for _, slots in plan.classes]
+        if all(roles):  # nor does a class no object can play
+            searches.append((plan, domains, roles))
+    later = reduce(or_, (dom for _, domains, _ in searches for dom in domains[1:]), 0)
     spans = [
         (pos, t.interval.start, t.interval.end) for pos, t in enumerate(tokens) if later >> pos & 1
     ]
@@ -348,23 +336,27 @@ def _search(
                 found |= positions
         return found
 
-    def extend(plan: CompiledPlan, domains: Sequence[int], assigned: List[int]):
+    def extend(plan: CompiledPlan, domains: Sequence[int], roles: List[int], assigned: List[int]):
         """Every interpretation that extends `assigned`, the token positions
         of the first k phases, injectively. `domains` holds the positions
-        still open to each phase from k on. Assigning a token to phase k
-        keeps in each later phase m's domain only the other positions that
-        the token's row of the label from k to m allows; an emptied domain
-        prunes the branch. Tokens are tried in episode order, and the
-        phases' rows of `plan.masks` follow the defined slot's, if any."""
+        still open to each phase from k on, `roles` the objects still open
+        to each of `plan.classes`. Assigning a token to phase k keeps in
+        each class of phase k only the token's participants, and in each
+        later phase m's domain only the other positions that the token's
+        row of the label from k to m allows; an emptied domain prunes the
+        branch. Tokens are tried in episode order, and the phases' rows of
+        `plan.masks` follow the defined slot's, if any. At a leaf, each
+        choice of one object per class is one role grounding."""
         d = plan.description
         k = len(assigned)
         if not domains:
-            grounding = {d.phases[j].id: tokens[pos] for j, pos in enumerate(assigned)}
-            phase_grounding = tuple(sorted((pid, t.id) for pid, t in grounding.items()))
-            start = min(t.interval.start for t in grounding.values())
-            for roles in _role_assignments(plan.classes, grounding, admitted):
-                role_grounding = tuple(sorted(roles.items()))
-                yield Interpretation(d.id, phase_grounding, role_grounding, k / len(tokens), start)
+            phase_grounding = tuple(
+                sorted((d.phases[j].id, tokens[pos].id) for j, pos in enumerate(assigned))
+            )
+            start = min(tokens[pos].interval.start for pos in assigned)
+            for combo in product(*([e for e, b in bits.items() if r & b] for r in roles)):
+                grounded = sorted((s, e) for (_, ss), e in zip(plan.classes, combo) for s in ss)
+                yield Interpretation(d.id, phase_grounding, tuple(grounded), k / len(tokens), start)
             return
         at = len(plan.masks) - len(d.phases) + k  # the row of phase k
         labels = plan.masks[at]
@@ -373,6 +365,9 @@ def _search(
             bit = domain & -domain
             domain ^= bit
             pos = bit.bit_length() - 1
+            held = [r & holds[pos] if ph >> k & 1 else r for (ph, _), r in zip(plan.classes, roles)]
+            if not all(held):
+                continue
             narrowed: List[int] = []
             for m, dom in enumerate(rest, at + 1):
                 dom &= ~bit & allowed(pos, labels[m])
@@ -381,11 +376,11 @@ def _search(
                 narrowed.append(dom)
             else:
                 assigned.append(pos)
-                yield from extend(plan, narrowed, assigned)
+                yield from extend(plan, narrowed, held, assigned)
                 assigned.pop()
 
-    for plan, domains in searches:
-        yield from extend(plan, domains, [])
+    for plan, domains, roles in searches:
+        yield from extend(plan, domains, roles, [])
 
 
 def rank(interps: Sequence[Interpretation]) -> List[Interpretation]:

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 from operator import or_
 
 import pytest
@@ -74,6 +75,13 @@ class TestCompose:
     def test_empty_annihilates(self):
         assert compose(RelationSet.empty(), RelationSet.full()).is_empty
         assert compose(rs("b"), RelationSet.empty()).is_empty
+
+    def test_cycle_law(self):
+        """a is in b composed with c iff c is in b's converse composed with
+        a: the law by which `propagate`'s (j, k) update never empties a
+        label once its (i, k) update has not."""
+        for a, b, c in product(ALL, repeat=3):
+            assert (a in compose_base(b, c)) == (c in compose_base(converse(b), a)), (a, b, c)
 
 
 class TestChunkTables:

@@ -364,6 +364,31 @@ class TestRoundTrip:
         }
         assert restriction_from_json(node) == r
 
+    def test_type_tag_in_round_trip(self, capsys, tmp_path):
+        """Unsorted, repeated tags load and are written sorted, reloading is
+        a fixpoint, and the role then admits exactly the objects whose type
+        tag is listed."""
+        doc = json.loads(SEED_LIBRARY.read_text())
+        source = doc["concepts"][7]
+        assert source["id"] == "Source"
+        source["restriction"] = {"op": "type_tag_in", "tags": ["Pot", "Knife", "Pot"]}
+        doc1 = serialize_library(*load_library_document(doc))
+        written = [c["restriction"] for c in doc1["concepts"] if c["id"] == "Source"]
+        assert written == [{"op": "type_tag_in", "tags": ["Knife", "Pot"]}]
+        doc2 = serialize_library(*load_library_document(doc1))
+        assert dumps_canonical(doc1) == dumps_canonical(doc2)
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "select", str(path), str(POURING_EPISODE), "Pouring")
+        assert (code, err) == (0, "")
+        assert "Source: {knife pot}\n" in out.splitlines(keepends=True)
+
+    def test_shallow_nesting_error_keeps_its_item_path(self):
+        leaf = {"op": "kind_is", "kind": "object"}
+        node = {"op": "and", "items": [leaf, {"op": "or", "items": [{"op": "x"}]}]}
+        with pytest.raises(ParseError, match=r"^concept 7: restriction: item 1: item 0: unknown"):
+            restriction_from_json(node, "concept 7: restriction")
+
     def test_integer_too_large_for_a_float_reads_as_infinity(self):
         node = {"op": "region_within", "lo": -(10**400), "hi": 10**400, "units": "m/s"}
         assert restriction_from_json(node) == RegionWithin(-math.inf, math.inf, "m/s")
@@ -654,6 +679,22 @@ MALFORMED_RECORDS = {
     "relation-a-number": (
         lambda doc: _set(doc["descriptions"][0]["constraints"][1], "relation", 1),
         "description PouringPlan: constraint 1: bad relation value: 1",
+    ),
+    "kind-is-unknown-kind": (
+        lambda doc: _set(doc["concepts"][6], "restriction", {"op": "kind_is", "kind": "gadget"}),
+        "concept 6: restriction: unknown entity kind 'gadget'",
+    ),
+    "and-empty-items": (
+        lambda doc: _set(doc["concepts"][7], "restriction", {"op": "and", "items": []}),
+        "concept 7: restriction: items: expected at least one restriction",
+    ),
+    "or-empty-items": (
+        lambda doc: _set(doc["concepts"][7], "restriction", {"op": "or", "items": []}),
+        "concept 7: restriction: items: expected at least one restriction",
+    ),
+    "type-tag-in-without-tags": (
+        lambda doc: _set(doc["concepts"][7], "restriction", {"op": "type_tag_in"}),
+        "concept 7: restriction: missing 'tags'",
     ),
 }
 
@@ -954,7 +995,8 @@ class TestCli:
         for cmd, *rest in self.COMMANDS:
             code, out, err = run_cli(capsys, cmd, str(path), *rest)
             assert (code, out) == (2, "")
-            assert err.startswith(f"error: {at}: restriction: item 0: ")
+            assert err.startswith(f"error: {at}: restriction: nested deeper than ")
+            assert err.count("item 0: ") <= 1
             assert f"nested deeper than {MAX_RESTRICTION_DEPTH} levels" in err
 
     def test_restriction_nested_to_the_bound_loads(self, capsys, tmp_path):
@@ -1064,6 +1106,22 @@ class TestCli:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "argument --eps: must be a positive finite number" in captured.err
+
+    def test_non_numeric_eps_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", str(SEED_LIBRARY), str(POURING_EPISODE), "--eps", "abc"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --eps: must be a positive finite number: 'abc'" in captured.err
+
+    @pytest.mark.parametrize("top_level", ["[]", "1", '"library"', "null"])
+    def test_top_level_not_an_object_exit_2(self, capsys, tmp_path, top_level):
+        path = tmp_path / "lib.json"
+        path.write_text(top_level)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: top-level value must be an object\n"
 
     @pytest.mark.parametrize("defect", ["concept", "description", "phase"])
     def test_duplicate_id_exit_1(self, capsys, tmp_path, defect):

@@ -49,6 +49,16 @@ class TestSelectObjects:
         with pytest.raises(UnknownRole):
             select_objects(task, Scene({}), store)
 
+    def test_non_role_concept(self):
+        store = build_generator_store()
+        task = EventTypeRef("task0", "GenericTask", uses_roles=("GenericTask",))
+        with pytest.raises(UnknownRole, match=r"^GenericTask is not a Role concept$"):
+            select_objects(task, Scene({}), store)
+
+    def test_scene_key_must_be_the_entity_id(self):
+        with pytest.raises(ValueError, match=r"^scene key pan does not match entity id pot$"):
+            Scene({"pan": obj("pot")})
+
     def test_biconditional_with_classification_scan(self):
         # returned for role r <=> check_classification(r, obj) accepted
         store = build_generator_store()

@@ -61,6 +61,11 @@ class TestTaxonomy:
         with pytest.raises(UnknownId):
             store.add_concept("X", ConceptKind.TASK, {"missing"})
 
+    def test_duplicate_id_rejected(self, store):
+        store.add_concept("X", ConceptKind.TASK, concept_id="X")
+        with pytest.raises(KindMismatch, match=r"^duplicate concept id: X$"):
+            store.add_concept("Y", ConceptKind.ROLE, concept_id="X")
+
     def test_kind_mismatch_parent(self, store):
         role = store.add_concept("Patient", ConceptKind.ROLE)
         with pytest.raises(KindMismatch):
@@ -181,6 +186,11 @@ class TestEntityFields:
     def test_non_object_dispositions_named(self):
         with pytest.raises(KindMismatch, match=r"^only Object entities carry dispositions: r$"):
             Entity("r", "r", EntityKind.REGION, "Speed", dispositions=("Containment",))
+
+
+def test_non_event_entity_with_participants_named():
+    with pytest.raises(KindMismatch, match=r"^only event entities carry participants: pot$"):
+        Entity("pot", "pot", EntityKind.OBJECT, "Pot", participants=("knife",))
 
 
 class TestRestrictions:

@@ -600,6 +600,21 @@ class TestParseOracleWide:
         reordered = dataclasses.replace(episode, tokens=tuple(tokens))
         assert parse(reordered, library, store) == parse(episode, library, store)
 
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases(), st.randoms(use_true_random=False))
+    def test_scene_order_free(self, case, rnd):
+        """Role classes enumerate their entities in scene order; ranking
+        hides that order, and each answer verifies under either order."""
+        store, library, episode = case
+        objects = list(episode.scene.objects.items())
+        rnd.shuffle(objects)
+        reordered = dataclasses.replace(episode, scene=Scene(dict(objects)))
+        got = parse(reordered, library, store)
+        assert got == parse(episode, library, store)
+        for i in got:
+            assert verify_interpretation(i, reordered, library, store)
+            assert verify_interpretation(i, episode, library, store)
+
 
 SOLO = Description("Solo", EventTypeRef("task0", "GenericTask"), (EventTypeRef("ph0", "Motion"),))
 
